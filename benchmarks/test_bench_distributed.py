@@ -37,8 +37,8 @@ requires_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
 
 ARTIFACT = Path(__file__).parent / "BENCH_distributed.json"
 
-# 100k trials keeps the run compute-dominated even on the fused native/
-# numba backends (~5x-13x over numpy): with fewer trials the fixed
+# 100k trials keeps the run compute-dominated even on the fused native
+# backend (~5x-13x over numpy): with fewer trials the fixed
 # worker-spawn cost swamps the overhead ratio asserted below.
 TRIALS = 100_000
 SEED = 2022

@@ -43,7 +43,7 @@ requires_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
 ARTIFACT = Path(__file__).parent / "BENCH_parallel.json"
 
 # 100k trials keeps the measurement compute-dominated now that the
-# fused native/numba backends cut per-trial cost by ~an order of
+# fused native backend cuts per-trial cost by ~an order of
 # magnitude; below that, pool spin-up swamps the speedup ratio.
 TRIALS = 100_000
 SEED = 2022
@@ -119,7 +119,7 @@ def test_streamed_run_is_memory_flat():
     peak traced allocation stays bounded by the chunk, not the run."""
     import tracemalloc
 
-    # Pin the numpy backend: the fused native/numba chunk kernels never
+    # Pin the numpy backend: the fused native chunk kernels never
     # materialise batch arrays at any chunk size, which would make this
     # comparison vacuous — the contract under test is that the *batched*
     # generate-then-decode path streams one chunk at a time.

@@ -119,7 +119,7 @@ def test_full_table_iv_cross_backend_parity_and_speedup():
         f"({scalar_seconds:.3f}s vs {numpy_seconds:.3f}s at {trials} trials)"
     )
 
-    # Merge, don't overwrite: the numba/native benches contribute their
+    # Merge, don't overwrite: the native bench contributes its
     # own timing columns to the same artifact (see artifacts.py).
     merge_artifact(
         ARTIFACT,

@@ -16,8 +16,9 @@ Subpackages
 ``repro.memory``
     DRAM geometry, codeword striping/shuffle routing, fault injection.
 ``repro.engine``
-    Pluggable batch decode engines: the scalar big-int reference and a
-    vectorised numpy backend over ``(batch, limbs)`` uint64 codewords.
+    Batch decode engines on a fixed ladder: the scalar big-int
+    reference, a vectorised numpy backend over ``(batch, limbs)``
+    uint64 codewords, and self-compiled C kernels (``native``).
 ``repro.reliability``
     Monte-Carlo multi-symbol error detection simulator (Table IV).
 ``repro.vlsi``

@@ -223,11 +223,11 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["auto", *registered_backends()],
         default="auto",
         help=(
-            "decode engine for the Monte-Carlo experiments: choices "
-            "come from the backend registry ('scalar' is the big-int "
-            "reference path, 'numpy' vectorises batches, 'native'/"
-            "'numba' run compiled fused kernels); 'auto' picks the "
-            "fastest backend available on this host (table4, "
+            "decode engine for the Monte-Carlo experiments, one rung "
+            "of the backend ladder ('scalar' is the big-int reference "
+            "path, 'numpy' vectorises batches, 'native' runs "
+            "self-compiled C fused kernels); 'auto' picks the fastest "
+            "rung that runs on this host and accepts the code (table4, "
             "ablations, extension-double-device; also the worker "
             "subcommand's engine override)"
         ),
@@ -741,10 +741,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return run(args)
     except BackendUnavailableError as exc:
-        # Registered-but-unavailable backends stay listed in --backend
-        # choices (the registry is host-independent); an explicit
-        # request for one fails here with the availability story
-        # instead of a traceback.
+        # Unavailable backends stay listed in --backend choices (the
+        # ladder is host-independent); an explicit request for one
+        # fails here with the availability story instead of a
+        # traceback.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

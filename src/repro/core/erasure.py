@@ -146,9 +146,8 @@ class ErasureDecoder:
         ``erased_symbols`` is either one symbol tuple applied to every
         word or one tuple per word.  Words are grouped by their erasure
         window and each group runs through the vectorised limb path
-        (:mod:`repro.engine.erasure_numpy`); ``backend`` follows the
-        engine registry semantics (explicit ``numpy`` raises without
-        numpy, ``auto`` degrades to the scalar per-word loop).  Results
+        (:mod:`repro.engine.erasure_numpy`) unless ``backend``
+        resolves to ``scalar``, which runs the per-word loop.  Results
         are scalar-identical and returned in input order.
         """
         from repro.engine import resolve_backend

@@ -105,7 +105,7 @@ def _connect_with_retry(
 def _with_backend(task, backend: str | None):
     """Re-target a task's spec at this worker's decode backend.
 
-    Safe by the cross-backend contract: scalar and numpy tally
+    Safe by the cross-backend contract: scalar, numpy and native tally
     byte-identically, so a mixed fleet still folds one truth.
     """
     if backend is None or not hasattr(task.spec, "backend"):

@@ -1,35 +1,31 @@
-"""Pluggable batch decode engines behind an open backend registry.
+"""Batch decode engines behind a fixed backend ladder.
 
 Entry points:
 
-* :func:`register_backend` — add a backend (name, availability probe,
-  engine factories) to the registry; the built-in ``scalar``, ``numpy``,
-  ``numba`` and ``native`` backends register themselves below, and a
-  future ``cupy`` backend slots in the same way without touching any
-  call site.
+* :data:`BACKENDS` — the ladder, slowest rung first: ``scalar`` (the
+  big-int reference), ``numpy`` (vectorised limb arrays) and ``native``
+  (self-compiled C kernels, :mod:`repro.engine.cc`).  Every rung serves
+  both code families and tallies byte-identically at a fixed seed.
 * :func:`get_engine` — resolve a backend name ("scalar", "numpy",
-  "numba", "native" or "auto") into a cached
-  :class:`DecodeEngine` for one code.
+  "native" or "auto") into a cached :class:`DecodeEngine` for one code;
+  :func:`repro.rs.engine.get_rs_engine` is its Reed-Solomon twin.
 * :func:`msed_corruption_batch` — vectorised Monte-Carlo corruption
   generation shared by all backends (:mod:`repro.engine.trials`).
 * :func:`registered_backends` / :func:`available_backends` /
-  :func:`numpy_available` — capability probes for callers that build
+  :func:`native_available` — capability probes for callers that build
   CLI choices, gate features or skip tests.
 
-The scalar backend is always available; every other backend degrades
-gracefully when its dependency is absent: ``auto`` falls through to the
-fastest available backend, while an *explicit* request for a missing
-backend raises :class:`BackendUnavailableError` rather than silently
-running something else.  Setting ``REPRO_DISABLE_BACKENDS`` (a comma
-list, e.g. ``"numba,native"``) force-disables backends, which is how
-the degradation paths are exercised even on hosts that have everything
-installed.
+``scalar`` and ``numpy`` always run; ``native`` needs a working C
+compiler.  ``auto`` takes the fastest rung that is available *and*
+accepts the code (native declines codes wider than its fixed kernel
+scratch), so it never leaves the one corruption stream every rung
+shares.  An *explicit* request for a rung that cannot run raises
+:class:`BackendUnavailableError` rather than silently running
+something else.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 from repro import telemetry
@@ -49,139 +45,45 @@ from repro.engine.trials import msed_corruption_batch
 if TYPE_CHECKING:
     from repro.core.codec import MuseCode
 
-
-@dataclass(frozen=True)
-class RegisteredBackend:
-    """One registry entry: how to detect and build a backend.
-
-    ``factory(code, ripple_check)`` builds the MUSE decode engine;
-    ``rs_factory(code, device_bits)`` builds the Reed-Solomon engine
-    (``None`` for MUSE-only backends).  ``probe`` must be cheap — it
-    runs on every :func:`available_backends` call — and must not raise.
-    ``priority`` orders ``auto`` resolution: the highest-priority
-    available backend wins.
-    """
-
-    name: str
-    probe: Callable[[], bool]
-    factory: Callable[..., DecodeEngine]
-    rs_factory: Callable[..., object] | None
-    priority: int
-
-
-_REGISTRY: dict[str, RegisteredBackend] = {}
-
-#: Environment switch that force-disables backends ("numba,native").
-DISABLE_ENV = "REPRO_DISABLE_BACKENDS"
-
-
-def register_backend(
-    name: str,
-    probe: Callable[[], bool],
-    factory: Callable[..., DecodeEngine],
-    *,
-    rs_factory: Callable[..., object] | None = None,
-    priority: int = 0,
-) -> None:
-    """Register (or replace) a decode backend.
-
-    ``name`` becomes selectable everywhere a backend can be chosen —
-    ``get_engine``/``get_rs_engine``, the simulators, CLI ``--backend``
-    choices, the distributed worker override — with no further wiring.
-    """
-    if not name or name == "auto":
-        raise ValueError(f"invalid backend name {name!r}")
-    _REGISTRY[name] = RegisteredBackend(
-        name=name,
-        probe=probe,
-        factory=factory,
-        rs_factory=rs_factory,
-        priority=priority,
-    )
-
-
-def _disabled() -> frozenset[str]:
-    raw = os.environ.get(DISABLE_ENV, "")
-    return frozenset(part.strip() for part in raw.split(",") if part.strip())
-
-
-def _entries() -> list[RegisteredBackend]:
-    """Registry entries, lowest priority first (auto picks the last)."""
-    order = list(_REGISTRY)
-    return sorted(
-        _REGISTRY.values(), key=lambda e: (e.priority, order.index(e.name))
-    )
+#: The backend ladder, slowest first; ``auto`` walks it from the top.
+BACKENDS = ("scalar", "numpy", "native")
 
 
 def registered_backends() -> tuple[str, ...]:
-    """Every registered backend name, whether or not it can run here."""
-    return tuple(entry.name for entry in _entries())
+    """Every backend name, whether or not it can run here."""
+    return BACKENDS
 
 
-def _is_available(entry: RegisteredBackend) -> bool:
-    if entry.name in _disabled():
-        return False
-    try:
-        return bool(entry.probe())
-    except Exception:  # a broken probe means "not available", not a crash
-        return False
+def native_available() -> bool:
+    """True when the C kernels compiled and loaded (cc + ctypes)."""
+    from repro.engine.cc import native_kernels_available
+
+    return native_kernels_available()
 
 
 def available_backends() -> tuple[str, ...]:
     """The backends that can actually run in this environment."""
     return tuple(
-        entry.name for entry in _entries() if _is_available(entry)
+        name for name in BACKENDS if name != "native" or native_available()
     )
-
-
-def numpy_available() -> bool:
-    """True when the vectorised backend's dependency is importable."""
-    try:
-        import numpy  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
-def numba_available() -> bool:
-    """True when the numba JIT backend can run (numba + numpy import)."""
-    if not numpy_available():
-        return False
-    try:
-        from repro.engine._jit import NUMBA_AVAILABLE
-    except ImportError:  # pragma: no cover - _jit only needs stdlib
-        return False
-    return NUMBA_AVAILABLE
-
-
-def native_available() -> bool:
-    """True when the C kernels compiled+loaded (cc + ctypes + numpy)."""
-    if not numpy_available():
-        return False
-    try:
-        from repro.engine.cc import native_kernels_available
-    except ImportError:  # pragma: no cover
-        return False
-    return native_kernels_available()
 
 
 def resolve_backend(backend: str = "auto") -> str:
     """Normalise a backend request.
 
-    ``auto`` picks the highest-priority available backend (numba >
-    native > numpy > scalar for the built-ins); an explicit name must
-    be registered (else ``ValueError``) *and* available (else
+    ``auto`` picks the fastest available rung (native > numpy >
+    scalar); an explicit name must be on the ladder (else
+    ``ValueError``) *and* available (else
     :class:`BackendUnavailableError` — an explicit request never
     silently degrades).
     """
     if backend == "auto":
         return available_backends()[-1]
-    entry = _REGISTRY.get(backend)
-    if entry is None:
+    if backend not in BACKENDS:
         raise ValueError(
-            f"unknown backend {backend!r}; choose from {registered_backends()}"
+            f"unknown backend {backend!r}; choose from {BACKENDS}"
         )
-    if not _is_available(entry):
+    if backend not in available_backends():
         raise BackendUnavailableError(
             f"{backend} backend requested but its dependencies are not "
             f"available here (available: {available_backends()})"
@@ -189,67 +91,49 @@ def resolve_backend(backend: str = "auto") -> str:
     return backend
 
 
-def backend_entry(backend: str) -> RegisteredBackend:
-    """Resolve ``backend`` and return its registry entry."""
-    return _REGISTRY[resolve_backend(backend)]
+def cached_engine(code, backend: str, option, factories: dict):
+    """The engine binding ``code`` to ``backend``, built once per code.
 
+    Engines precompute dense lookup tables from the code, so they are
+    cached on the code instance per ``(backend, option)`` — a worker
+    pays table construction once per code, not once per chunk.
+    ``factories`` maps each rung to its ``factory(code, option)``.
 
-def rs_engine_factory(backend: str) -> Callable[..., object]:
-    """The Reed-Solomon engine factory of a resolved backend.
-
-    Raises :class:`BackendUnavailableError` for MUSE-only backends, so
-    ``get_rs_engine`` shares the same degradation semantics.
+    ``auto`` walks the available rungs from the fastest down and keeps
+    the first whose factory accepts the code; a rung that declines
+    (raises :class:`BackendUnavailableError`) is skipped, and the pick
+    is cached under ``"auto"`` so the decline is paid once.  ``auto``
+    shares its engine with the explicit request for the same rung.
     """
-    entry = backend_entry(backend)
-    if entry.rs_factory is None:
-        raise BackendUnavailableError(
-            f"backend {entry.name!r} has no Reed-Solomon engine"
-        )
-    return entry.rs_factory
-
-
-def get_engine(
-    code: "MuseCode", backend: str = "auto", ripple_check: bool = True
-) -> DecodeEngine:
-    """Build (or fetch the cached) engine binding ``code`` to a backend.
-
-    Engines precompute dense lookup tables from the code's ELC and
-    layout (and, for the JIT backends, hold the compiled kernels), so
-    they are cached per ``(backend, ripple_check)`` on the code
-    instance — a worker process pays table construction and kernel
-    compilation once per code, not once per chunk.
-    """
-    entry = backend_entry(backend)
-    telemetry.counter("engine.resolve", backend=entry.name)
+    if backend != "auto":
+        backend = resolve_backend(backend)
     cache = code.__dict__.setdefault("_engine_cache", {})
-    key = (entry.name, ripple_check)
-    engine = cache.get(key)
+    engine = cache.get((backend, option))
     if engine is None:
-        # Table construction + (for JIT backends) kernel compilation:
-        # the classic hidden startup cost, now a visible span.
-        with telemetry.span("engine_build", backend=entry.name):
-            engine = entry.factory(code, ripple_check)
-        cache[key] = engine
+        names = reversed(available_backends()) if backend == "auto" else (backend,)
+        for name in names:
+            engine = cache.get((name, option))
+            if engine is None:
+                try:
+                    # Table construction: the classic hidden startup
+                    # cost, made a visible span.
+                    with telemetry.span("engine_build", backend=name):
+                        engine = factories[name](code, option)
+                except BackendUnavailableError:
+                    if backend != "auto":
+                        raise  # an explicit request must not degrade
+                    continue  # this rung declines the code: next one down
+                cache[(name, option)] = engine
+            break
+        cache[(backend, option)] = engine
+    telemetry.counter("engine.resolve", backend=engine.name)
     return engine
 
-
-# ----------------------------------------------------------------------
-# Built-in backends
-# ----------------------------------------------------------------------
-#
-# Factories import lazily so that registering a backend costs nothing
-# until it is actually selected (numba import alone is ~1s).
 
 def _scalar_factory(code, ripple_check=True):
     from repro.engine.scalar import ScalarDecodeEngine
 
     return ScalarDecodeEngine(code, ripple_check)
-
-
-def _scalar_rs_factory(code, device_bits=4):
-    from repro.rs.engine import ScalarRsEngine
-
-    return ScalarRsEngine(code, device_bits)
 
 
 def _numpy_factory(code, ripple_check=True):
@@ -258,88 +142,46 @@ def _numpy_factory(code, ripple_check=True):
     return NumpyDecodeEngine(code, ripple_check)
 
 
-def _numpy_rs_factory(code, device_bits=4):
-    from repro.rs.engine import NumpyRsEngine
-
-    return NumpyRsEngine(code, device_bits)
-
-
-def _numba_factory(code, ripple_check=True):
-    from repro.engine.numba_backend import NumbaDecodeEngine
-
-    return NumbaDecodeEngine(code, ripple_check)
-
-
-def _numba_rs_factory(code, device_bits=4):
-    from repro.rs.engine_numba import NumbaRsEngine
-
-    return NumbaRsEngine(code, device_bits)
-
-
 def _native_factory(code, ripple_check=True):
     from repro.engine.native import NativeDecodeEngine
 
     return NativeDecodeEngine(code, ripple_check)
 
 
-def _native_rs_factory(code, device_bits=4):
-    from repro.rs.engine_native import NativeRsEngine
+_FACTORIES: dict[str, Callable[..., DecodeEngine]] = {
+    "scalar": _scalar_factory,
+    "numpy": _numpy_factory,
+    "native": _native_factory,
+}
 
-    return NativeRsEngine(code, device_bits)
 
+def get_engine(
+    code: "MuseCode", backend: str = "auto", ripple_check: bool = True
+) -> DecodeEngine:
+    """Build (or fetch the cached) engine binding ``code`` to a backend.
 
-register_backend(
-    "scalar",
-    probe=lambda: True,
-    factory=_scalar_factory,
-    rs_factory=_scalar_rs_factory,
-    priority=0,
-)
-register_backend(
-    "numpy",
-    # Call through the module attribute so tests can monkeypatch
-    # ``numpy_available`` and exercise the degradation paths.
-    probe=lambda: numpy_available(),
-    factory=_numpy_factory,
-    rs_factory=_numpy_rs_factory,
-    priority=10,
-)
-register_backend(
-    "native",
-    probe=lambda: native_available(),
-    factory=_native_factory,
-    rs_factory=_native_rs_factory,
-    priority=20,
-)
-register_backend(
-    "numba",
-    probe=lambda: numba_available(),
-    factory=_numba_factory,
-    rs_factory=_numba_rs_factory,
-    priority=30,
-)
+    Cached per ``(backend, ripple_check)`` on the code instance; see
+    :func:`cached_engine` for how ``auto`` picks its rung.
+    """
+    return cached_engine(code, backend, ripple_check, _FACTORIES)
 
 
 __all__ = [
+    "BACKENDS",
     "BackendUnavailableError",
     "BatchDecodeResult",
     "DecodeEngine",
-    "RegisteredBackend",
     "STATUS_CLEAN",
     "STATUS_CORRECTED",
     "STATUS_DETECTED_NO_MATCH",
     "STATUS_DETECTED_RIPPLE",
     "STATUS_NAMES",
     "available_backends",
-    "backend_entry",
+    "cached_engine",
     "get_engine",
     "msed_corruption_batch",
     "native_available",
-    "numba_available",
-    "numpy_available",
-    "register_backend",
     "registered_backends",
     "resolve_backend",
-    "rs_engine_factory",
     "status_of",
 ]

@@ -1,14 +1,18 @@
 """Backend-neutral decode-engine interface.
 
 A :class:`DecodeEngine` turns one :class:`~repro.core.codec.MuseCode`
-into a *batch* encoder/decoder.  Two interchangeable backends exist:
+into a *batch* encoder/decoder.  Three interchangeable backends form
+the ladder ``auto`` walks:
 
 * ``scalar`` — the big-int reference path, one
-  :meth:`MuseCode.decode` call per word (always available);
+  :meth:`MuseCode.decode` call per word (the oracle);
 * ``numpy`` — fixed-width limb arrays with the whole Figure-4 flow
-  vectorised (:mod:`repro.engine.numpy_backend`).
+  vectorised (:mod:`repro.engine.numpy_backend`);
+* ``native`` — the numpy tables driven by self-compiled C kernels
+  (:mod:`repro.engine.native`), plus a fused corruption->decode->tally
+  chunk kernel.
 
-Both classify every word into one of four :data:`STATUS_*` codes, which
+All classify every word into one of four :data:`STATUS_*` codes, which
 deliberately mirror the Monte-Carlo tally buckets: the reliability
 simulators consume :meth:`BatchDecodeResult.counts` directly, and the
 cross-backend equivalence tests compare the per-word codes.
@@ -32,7 +36,9 @@ STATUS_NAMES = ("clean", "corrected", "detected_no_match", "detected_ripple")
 
 
 class BackendUnavailableError(RuntimeError):
-    """The requested backend cannot run here (e.g. numpy not installed)."""
+    """The requested backend cannot run here or declines this code
+    (e.g. no C compiler for ``native``, or a code wider than its
+    kernels' fixed scratch)."""
 
 
 def status_of(result: "DecodeResult") -> int:
@@ -90,7 +96,7 @@ class DecodeEngine(ABC):
         frontier experiment measures.
     """
 
-    #: registry name of the backend ("scalar" or "numpy")
+    #: ladder name of the backend ("scalar", "numpy" or "native")
     name: str
 
     def __init__(self, code: "MuseCode", ripple_check: bool = True):
@@ -110,6 +116,6 @@ class DecodeEngine(ABC):
         """Run the Figure-4 flow over a batch of received words.
 
         ``words`` may be a sequence of Python ints or (for the numpy
-        backend, zero-copy) a ``(B, L)`` uint64 limb array from
+        and native backends, zero-copy) a ``(B, L)`` uint64 limb array from
         :mod:`repro.engine.limbs`.
         """

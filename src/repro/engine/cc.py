@@ -1,21 +1,21 @@
 """Self-compiled C kernels backing the ``native`` backend.
 
-The third rung of the backend ladder: the same four kernels as the
-numba backend (MUSE decode, MUSE fused chunk, RS PGZ decode, RS fused
-chunk) written once in portable C99 over the identical table layouts,
-compiled at first use with the system compiler (``cc -O3 -shared
--fPIC``) into a content-addressed cache under the temp directory, and
-loaded with ctypes.  uint64 arithmetic wraps natively in C, so the
-kernels are line-for-line the numba ones with no casting discipline
-needed — and the backend works on any host with a C compiler, no
-package installs required (which is exactly the environment the
-acceptance benchmarks run in when numba is absent).
+The top rung of the backend ladder: four kernels (MUSE decode, MUSE
+fused chunk, RS PGZ decode, RS fused chunk) written once in portable
+C99 over the table layouts :mod:`repro.engine.native` and
+:mod:`repro.rs.engine_native` prepare, compiled at first use with the
+system compiler (``cc -O3 -shared -fPIC``) into a content-addressed
+cache under the temp directory, and loaded with ctypes.  uint64
+arithmetic wraps natively in C, which is exactly the splitmix64 and
+limb-add arithmetic of the numpy generators and decoders — and the
+backend works on any host with a C compiler, no package installs
+required.
 
 Availability is probed by actually compiling (cached across processes
 by the content hash), so ``available_backends()`` never advertises a
-backend that cannot run.  Any failure — no compiler, no numpy, a
-read-only temp dir — just reports unavailable; ``auto`` then falls
-back down the ladder.
+backend that cannot run.  Any failure — no compiler, a read-only temp
+dir — just reports unavailable; ``auto`` then falls back down the
+ladder.
 """
 
 from __future__ import annotations
@@ -196,15 +196,19 @@ static int rs_decode_row(const uint32_t *word, uint32_t *fixed,
         int64_t n_symbols, int64_t pad_mask, int64_t partial_position,
         const uint8_t *confined, int has_policy, int64_t conf_stride,
         int64_t *pos_out, int64_t *mag_out) {
-    int64_t s1 = 0, s2 = 0;
+    /* twice = 2i mod order, kept by subtraction: i < n_symbols <= order
+     * so one subtraction suffices, and no division runs per symbol */
+    int64_t s1 = 0, s2 = 0, twice = 0;
     for (int64_t i = 0; i < n_symbols; i++) {
         int64_t value = word[i];
         fixed[i] = word[i];
         if (value) {
             int64_t lv = logt[value];
             s1 ^= exp2[lv + i];
-            s2 ^= exp2[lv + ((2 * i) % order)];
+            s2 ^= exp2[lv + twice];
         }
+        twice += 2;
+        if (twice >= order) twice -= order;
     }
     *pos_out = -1;
     *mag_out = 0;
@@ -256,7 +260,7 @@ void rs_fused_chunk(int64_t start, int64_t size, int64_t k_symbols,
     for (int64_t i = 0; i < size; i++) {
         uint64_t counter = ((uint64_t)(start + i) + 1) * GOLDEN;
         /* data draws + GF check-symbol solve (rs_clean_chunk) */
-        int64_t s1 = 0, s2 = 0;
+        int64_t s1 = 0, s2 = 0, twice = 0;
         for (int64_t j = 0; j < data_symbols; j++) {
             int64_t value = (int64_t)(mix64(data_keys[j] + counter)
                                       & ((1ULL << widths[j]) - 1ULL));
@@ -264,8 +268,10 @@ void rs_fused_chunk(int64_t start, int64_t size, int64_t k_symbols,
             if (value) {
                 int64_t lv = logt[value];
                 s1 ^= exp2[lv + j];
-                s2 ^= exp2[lv + ((2 * j) % order)];
+                s2 ^= exp2[lv + twice];
             }
+            twice += 2;
+            if (twice >= order) twice -= order;
         }
         word[data_symbols] = (uint32_t)gf_div(
             gf_mul(s1, aq2, exp2, logt) ^ gf_mul(s2, aq, exp2, logt),
@@ -345,7 +351,7 @@ def _declare(lib: "ctypes.CDLL") -> None:
 def load_library() -> "ctypes.CDLL | None":
     """Compile (once, content-addressed) and load the kernel library.
 
-    Returns ``None`` on any failure — the registry probe then reports
+    Returns ``None`` on any failure — the ladder probe then reports
     the native backend unavailable instead of erroring.
     """
     global _lib, _load_failed
@@ -380,7 +386,7 @@ def load_library() -> "ctypes.CDLL | None":
 
 
 def native_kernels_available() -> bool:
-    """Probe for the registry: can the C kernels compile and load here?"""
+    """Probe for the ladder: can the C kernels compile and load here?"""
     return load_library() is not None
 
 

@@ -1,17 +1,26 @@
-"""The native backend: self-compiled C kernels behind the numba tables.
+"""The native backend: self-compiled C kernels over the numpy tables.
 
-:class:`NativeDecodeEngine` subclasses the numba engine purely for its
-table construction (chunk weights, dense ELC, confinement masks, the
-rectangular symbol-bit table) and swaps the kernel dispatch for the
-ctypes library built by :mod:`repro.engine.cc` — the same four kernels,
-compiled ahead of time by the system C compiler instead of by numba.
-Tallies are byte-identical to every other backend at a fixed seed; the
-point is speed on hosts that have ``cc`` but not numba (such as the
-acceptance environment for this repo).
+:class:`NativeDecodeEngine` subclasses the numpy engine for its table
+construction (dense ELC, confinement masks) and adds the flat tables
+the C kernels read — chunk weights, the uint8 ELC hit mask, the data
+mask and a rectangular symbol-bit table — then dispatches batch decode
+and the fused corruption->decode->tally chunk to the ctypes library
+built by :mod:`repro.engine.cc`.
 
-Only registered as available when the probe's trial compile+load
-succeeds, so ``auto`` resolution never lands here on a compiler-less
-host.
+The fused kernel replays the counter-hashed corruption stream of
+:mod:`repro.orchestrate.corruption` draw for draw (splitmix64 data
+draws, score-based symbol choice, never-the-original replacement), so
+its tallies are byte-identical to generate-then-decode at any chunk
+split.  It is exact for ``k_symbols <= 2``: there the generator's
+``argpartition(scores, k-1)[:, :k]`` provably yields ``(argmin,
+arg-2nd-min)``, which the kernel reproduces with a two-minimum scan;
+for larger ``k`` :meth:`~NativeDecodeEngine.fused_chunk_counts`
+returns ``None`` and the caller generates then decodes.
+
+The backend is only available when the probe's trial compile+load
+succeeds, and the engine declines (``BackendUnavailableError``) codes
+wider than the kernels' fixed scratch, so ``auto`` resolution falls
+through to numpy on the same stream.
 """
 
 from __future__ import annotations
@@ -21,8 +30,8 @@ import ctypes
 import numpy as np
 
 from repro.engine.base import BackendUnavailableError
-from repro.engine.numba_backend import NumbaDecodeEngine
-from repro.engine.numpy_backend import NumpyBatchResult
+from repro.engine.limbs import LIMB_BITS, int_to_limb_row
+from repro.engine.numpy_backend import NumpyBatchResult, NumpyDecodeEngine
 
 #: The C kernels use fixed stack scratch ``uint64_t word[8]``.
 MAX_NATIVE_LIMBS = 8
@@ -32,8 +41,12 @@ def _ptr(array: np.ndarray) -> ctypes.c_void_p:
     return ctypes.c_void_p(array.ctypes.data)
 
 
-class NativeDecodeEngine(NumbaDecodeEngine):
-    """C-kernel MUSE backend; numba's tables, ``cc``'s code."""
+class NativeDecodeEngine(NumpyDecodeEngine):
+    """C-kernel MUSE backend; numpy's tables, ``cc``'s code.
+
+    Cached per ``(code, ripple_check)`` by ``repro.engine.get_engine``,
+    so a worker builds the kernel tables once per code.
+    """
 
     name = "native"
 
@@ -51,7 +64,35 @@ class NativeDecodeEngine(NumbaDecodeEngine):
                 f"native kernels support up to {MAX_NATIVE_LIMBS} limbs, "
                 f"code needs {self.limbs}"
             )
+        if not 0 < code.r < LIMB_BITS:
+            raise BackendUnavailableError(
+                f"fused encode needs 0 < r < {LIMB_BITS}, got {code.r}"
+            )
         self._lib = library
+        # 2^(32 j) mod m chunk weights, one pair per limb.
+        weights = np.empty(2 * self.limbs, dtype=np.uint64)
+        weight = 1
+        for j in range(2 * self.limbs):
+            weights[j] = weight
+            weight = (weight << 32) % code.m
+        self._weights = weights
+        self._m_u64 = np.uint64(code.m)
+        self._hit_u8 = self._elc_hit.astype(np.uint8)
+        self._k_mask = int_to_limb_row((1 << code.k) - 1, self.limbs)
+        # Per-symbol bit positions as a rectangular table for in-kernel
+        # extract/insert (device-local bit order, like the layout).
+        layout = code.layout
+        max_width = max(len(bits) for bits in layout.symbols)
+        sym_bits = np.zeros(
+            (layout.symbol_count, max_width), dtype=np.int64
+        )
+        sym_widths = np.zeros(layout.symbol_count, dtype=np.int64)
+        for index, bits in enumerate(layout.symbols):
+            sym_widths[index] = len(bits)
+            for b, bit in enumerate(bits):
+                sym_bits[index, b] = bit
+        self._sym_bits = sym_bits
+        self._sym_widths = sym_widths
 
     def decode_limbs(self, words: np.ndarray) -> NumpyBatchResult:
         words = np.ascontiguousarray(words, dtype=np.uint64)
@@ -69,7 +110,13 @@ class NativeDecodeEngine(NumbaDecodeEngine):
         return NumpyBatchResult(self.code, statuses, words, corrected, rems)
 
     def fused_chunk_counts(self, chunk, key: int, k_symbols: int):
-        """Fused corruption->decode->tally in C; ``None`` outside k<=2."""
+        """The 4-status counts of one fused corruption->decode chunk.
+
+        Returns ``(clean, corrected, no_match, ripple)`` —
+        byte-identical to decoding ``muse_corruption_chunk`` — or
+        ``None`` when ``k_symbols`` is outside the exactly-replayable
+        1..2 range, telling the caller to take the unfused path.
+        """
         layout = self.code.layout
         if not 1 <= k_symbols <= min(2, layout.symbol_count):
             return None
@@ -107,9 +154,6 @@ class NativeDecodeEngine(NumbaDecodeEngine):
             _ptr(value_keys), int(self.ripple_check), _ptr(counts),
         )
         return tuple(int(count) for count in counts)
-
-    def warmup(self) -> None:
-        """Nothing to JIT — compilation happened at import probe time."""
 
 
 __all__ = ["MAX_NATIVE_LIMBS", "NativeDecodeEngine"]

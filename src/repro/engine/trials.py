@@ -1,8 +1,8 @@
 """Bulk Monte-Carlo trial generation for the MSED studies.
 
 The corruption stream is generated *once*, vectorised, independent of
-which backend later decodes it; both backends classify the *same*
-corrupted words, which is what makes scalar-vs-numpy tallies
+which backend later decodes it; every backend classifies the *same*
+corrupted words, which is what makes cross-backend tallies
 byte-identical under a fixed seed.
 
 Since the streaming orchestrator landed, the stream itself lives in
@@ -10,9 +10,6 @@ Since the streaming orchestrator landed, the stream itself lives in
 draw a counter hash of the global trial index); this module's
 whole-run entry point is a thin wrapper over one full-run chunk, so
 the monolithic and chunked generators can never diverge.
-
-Requires numpy (it is the generator, not a decoder); callers fall back
-to the sequential :class:`random.Random` path when it is absent.
 """
 
 from __future__ import annotations

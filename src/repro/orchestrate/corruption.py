@@ -23,21 +23,19 @@ Per trial the draws are fixed-count and stream-separated:
   replacement is never the original.  (The mod introduces a bias of
   order ``2^(w-64)`` — vanishing for the <= 16-bit symbols here.)
 
-Requires numpy (these are the generators, not decoders); the numpy-free
-sequential simulator paths derive per-trial :class:`random.Random`
-seeds from the same counter hash instead.
+The batch generators here are the one stream every decode backend
+consumes; the scalar ``*_word`` forms replay the same draws one trial at
+a time (via :func:`repro.orchestrate.rng.trial_seed`) as the reference
+the batch forms are pinned against.
 """
 
 from __future__ import annotations
 
-from repro.engine.base import BackendUnavailableError
+import numpy as np
+
+from repro.engine.limbs import limb_count
 from repro.orchestrate.plan import Chunk
 from repro.orchestrate.rng import counter_draws, derive_key, trial_seed
-
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    np = None
 
 #: Stream tags keeping the three per-trial draw families independent.
 STREAM_DATA = 0
@@ -45,20 +43,13 @@ STREAM_CHOICE = 1
 STREAM_VALUE = 2
 
 
-def _require_numpy() -> None:
-    if np is None:
-        raise BackendUnavailableError(
-            "numpy is required for bulk trial generation"
-        )
-
-
-def _trial_counters(chunk: Chunk) -> "np.ndarray":
+def _trial_counters(chunk: Chunk) -> np.ndarray:
     return np.arange(chunk.start, chunk.stop, dtype=np.uint64)
 
 
 def _choose_symbols(
-    key: int, trials: "np.ndarray", symbol_count: int, k_symbols: int
-) -> "np.ndarray":
+    key: int, trials: np.ndarray, symbol_count: int, k_symbols: int
+) -> np.ndarray:
     """The ``k`` distinct corrupted symbols per trial: k smallest of
     ``symbol_count`` iid uint64 scores (per-row, so split-invariant)."""
     scores = np.empty((trials.size, symbol_count), dtype=np.uint64)
@@ -71,8 +62,8 @@ def _choose_symbols(
 
 def _replace_chosen_symbols(
     key: int,
-    trials: "np.ndarray",
-    chosen: "np.ndarray",
+    trials: np.ndarray,
+    chosen: np.ndarray,
     widths,
     read,
     write,
@@ -104,7 +95,6 @@ def muse_clean_chunk(code, chunk: Chunk, key: int):
     Returns the ``(chunk.size, limbs)`` uint64 clean-codeword batch the
     corruption stream starts from.
     """
-    _require_numpy()
     from repro.engine import get_engine
     from repro.engine.limbs import int_to_limb_row
 
@@ -125,7 +115,6 @@ def muse_corruption_chunk(code, chunk: Chunk, key: int, k_symbols: int = 2):
     ``key`` is :func:`repro.orchestrate.rng.derive_key` of the run's
     master seed.
     """
-    _require_numpy()
     from repro.engine.numpy_backend import (
         extract_symbol_batch,
         insert_symbol_batch,
@@ -171,7 +160,6 @@ def muse_split_chunk(code, chunk: Chunk, key: int, k_symbols: int = 2):
     with the full generator, the prefix distribution here is exactly
     the full stream's marginal over everything but the final draw.
     """
-    _require_numpy()
     from repro.engine.numpy_backend import (
         extract_symbol_batch,
         insert_symbol_batch,
@@ -211,7 +199,6 @@ def rs_split_chunk(code, chunk: Chunk, key: int, k_symbols: int = 2):
     ``(words, last_symbols)`` with the first ``k - 1`` chosen symbols
     corrupted and the final chosen symbol's index held out per trial.
     """
-    _require_numpy()
     if not 2 <= k_symbols <= code.n_symbols:
         raise ValueError(
             f"splitting needs k_symbols in [2, {code.n_symbols}], "
@@ -244,7 +231,6 @@ def rs_clean_chunk(code, chunk: Chunk, key: int):
     Returns the ``(chunk.size, n_symbols)`` uint32 clean-codeword batch
     the corruption stream starts from.
     """
-    _require_numpy()
     from repro.rs.engine import get_rs_engine
 
     engine = get_rs_engine(code, "numpy")
@@ -285,12 +271,10 @@ def muse_clean_word(code, trial: int, key: int) -> int:
 
     The scalar twin of :func:`muse_clean_chunk`: the same per-limb
     DATA draws, assembled into a big int and encoded through the code
-    itself.  The limb count is ``engine.limbs.limb_count`` inlined
-    (``n // 64 + 1``, always a spare headroom limb) — that module
-    needs numpy, and this scalar path must run without it.
+    itself.
     """
     data = 0
-    for limb in range(code.n // 64 + 1):
+    for limb in range(limb_count(code.n)):
         data |= trial_seed(derive_key(key, STREAM_DATA, limb), trial) << (
             64 * limb
         )
@@ -316,7 +300,6 @@ def muse_scenario_chunk(scenario, code, chunk: Chunk, key: int,
     :func:`muse_corruption_chunk` (identical stream, fused-kernel
     compatible).
     """
-    _require_numpy()
     if scenario.corrupt_batch is None:
         return muse_corruption_chunk(code, chunk, key, k_symbols)
     from repro.engine.numpy_backend import (
@@ -351,7 +334,6 @@ def rs_scenario_chunk(scenario, code, chunk: Chunk, key: int,
     Returns the ``(chunk.size, n_symbols)`` uint32 corrupted batch;
     ``"msed"`` delegates to :func:`rs_corruption_chunk`.
     """
-    _require_numpy()
     if scenario.corrupt_batch is None:
         return rs_corruption_chunk(code, chunk, key, k_symbols)
     from repro.scenarios import BatchSymbolView, scenario_stream_key
@@ -380,13 +362,12 @@ def muse_scenario_word(scenario, code, trial: int, key: int,
 
     Byte-identical to row ``trial - chunk.start`` of any
     :func:`muse_scenario_chunk` covering ``trial`` (pinned by the
-    scenario test matrix), which is what lets the numpy-free simulator
-    path tally the *same* stream instead of a parallel one.
+    scenario test matrix).
     """
     if scenario.corrupt_word is None:
         raise ValueError(
             f"scenario {scenario.name!r} has no scalar reference stream "
-            f"(the legacy msed scalar path lives in the simulators)"
+            f"(its batch stream has no word-at-a-time twin)"
         )
     from repro.scenarios import WordSymbolView, scenario_stream_key
 
@@ -413,7 +394,7 @@ def rs_scenario_word(scenario, code, trial: int, key: int,
     if scenario.corrupt_word is None:
         raise ValueError(
             f"scenario {scenario.name!r} has no scalar reference stream "
-            f"(the legacy msed scalar path lives in the simulators)"
+            f"(its batch stream has no word-at-a-time twin)"
         )
     from repro.scenarios import WordSymbolView, scenario_stream_key
 
@@ -438,7 +419,6 @@ def rs_corruption_chunk(code, chunk: Chunk, key: int, k_symbols: int = 2):
     codewords — the RS analogue of :func:`muse_corruption_chunk`, with
     the same split-invariance.
     """
-    _require_numpy()
     if not 1 <= k_symbols <= code.n_symbols:
         raise ValueError(
             f"k_symbols must be in [1, {code.n_symbols}], got {k_symbols}"

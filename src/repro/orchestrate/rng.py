@@ -12,8 +12,9 @@ evaluates the hash at counters ``a..b-1``.
 Two synchronised implementations:
 
 * :func:`trial_seed` / :func:`derive_key` — pure-Python 64-bit ints,
-  used to seed the per-trial :class:`random.Random` of the numpy-free
-  sequential paths (the "hash-derived ints" scalar scheme);
+  feeding the scalar one-word-at-a-time reference generators
+  (``muse_/rs_clean_word``, ``muse_/rs_scenario_word``) and the other
+  per-trial draws (chaos injection, the double-device extension);
 * :func:`counter_draws` — the same hash over a uint64 counter ndarray,
   feeding the vectorised corruption generators.
 
@@ -24,10 +25,7 @@ scalar and vectorised chunkings agree about which trial is which.
 
 from __future__ import annotations
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    np = None
+import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
@@ -65,15 +63,13 @@ def trial_seed(key: int, trial: int) -> int:
     return mix64((key + ((trial + 1) * GOLDEN)) & _MASK64)
 
 
-def counter_draws(key: int, trials: "np.ndarray") -> "np.ndarray":
+def counter_draws(key: int, trials: np.ndarray) -> np.ndarray:
     """Vectorised :func:`trial_seed`: one uint64 draw per counter.
 
     ``trials`` is a counter array (typically ``arange(start, stop)``,
     any integer dtype — it is coerced to uint64); element ``i`` equals
     ``trial_seed(key, trials[i])``.
     """
-    if np is None:  # pragma: no cover - exercised only without numpy
-        raise RuntimeError("numpy is required for vectorised counter draws")
     # A default-dtype arange is int64; mixing it with uint64 scalars
     # promotes to float64 and breaks the shift ufuncs.  asarray is a
     # no-copy view when the input is already uint64.

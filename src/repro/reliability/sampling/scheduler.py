@@ -282,8 +282,8 @@ def _execute_chunk_task(task: ChunkTask) -> tuple[ChunkTask, MsedTally]:
 def _splitting_estimator(simulator: Any) -> Any | None:
     """Build the splitting twin of ``simulator``, or None if unknown.
 
-    Imported lazily: splitting needs numpy, and campaigns that never
-    escalate must not.  Returns None for fault scenarios the splitting
+    Imported lazily: campaigns that never escalate need not load the
+    splitting machinery.  Returns None for fault scenarios the splitting
     estimator does not support — the prefix stream it branches over is
     the plain msed one — so the campaign reports a Clopper-Pearson
     bound for those points instead.
@@ -533,8 +533,8 @@ class CampaignRunner:
                     self.policy.escalation_trials, seed=seed
                 )
             except Exception:
-                # Splitting needs numpy (BackendUnavailableError when
-                # absent); an escalated point then simply keeps its
+                # Splitting that cannot run for this point (e.g. a
+                # k_symbols outside its prefix range) leaves it its
                 # zero-event plain interval.
                 tail_bounds[i] = None
 

@@ -46,7 +46,9 @@ from fractions import Fraction
 from math import sqrt
 from statistics import NormalDist
 
-from repro.engine import BackendUnavailableError, get_engine
+import numpy as np
+
+from repro.engine import get_engine
 from repro.engine.base import STATUS_CLEAN, STATUS_CORRECTED
 from repro.orchestrate.corruption import muse_split_chunk, rs_split_chunk
 from repro.orchestrate.plan import plan_chunks
@@ -63,11 +65,6 @@ from repro.reliability.sampling.intervals import (
     Interval,
     clopper_pearson_interval,
 )
-
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    np = None
 
 __all__ = [
     "DEFAULT_SPLIT_CHUNK_SIZE",
@@ -325,8 +322,8 @@ class _SplittingEstimator:
 class MuseSplittingEstimator(_SplittingEstimator):
     """Importance-splitting rate estimator for a MUSE code.
 
-    Requires numpy (the branch fan is inherently batched); ``backend``
-    still selects the decode engine, and because both engines classify
+    The branch fan is generated as numpy batches; ``backend`` still
+    selects the decode engine, and because every engine classifies
     identically the tally is byte-identical across them.
     """
 
@@ -337,10 +334,6 @@ class MuseSplittingEstimator(_SplittingEstimator):
     code_ref: CodeRef | str | None = None
 
     def run_chunk(self, chunk, key: int) -> SplitTally:
-        if np is None:
-            raise BackendUnavailableError(
-                "importance splitting requires numpy"
-            )
         from repro.engine.numpy_backend import (
             extract_symbol_batch,
             insert_symbol_batch,
@@ -388,10 +381,6 @@ class RsSplittingEstimator(_SplittingEstimator):
     code_ref: CodeRef | str | None = None
 
     def run_chunk(self, chunk, key: int) -> SplitTally:
-        if np is None:
-            raise BackendUnavailableError(
-                "importance splitting requires numpy"
-            )
         from repro.rs.engine import get_rs_engine
 
         code = self.code

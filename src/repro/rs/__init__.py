@@ -7,8 +7,8 @@
   Table IV design points (including partial-symbol shortenings).
 * :mod:`repro.rs.chipkill` — device/symbol alignment analysis behind the
   "not practical" entries of Table IV.
-* :mod:`repro.rs.engine` — batch decode engines (scalar reference +
-  vectorised numpy PGZ) behind :func:`get_rs_engine`, with shared
+* :mod:`repro.rs.engine` — batch decode engines (scalar reference,
+  vectorised numpy PGZ, native C kernels) behind :func:`get_rs_engine`, with shared
   vectorised corruption generation for the Monte-Carlo studies.
 """
 

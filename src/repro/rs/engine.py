@@ -2,10 +2,11 @@
 
 The RS analogue of :mod:`repro.engine`: one :class:`RsDecodeEngine`
 binds an :class:`~repro.rs.reed_solomon.RSCode` to a batch execution
-strategy behind the same backend registry semantics the MUSE engine
-uses (``resolve_backend`` — explicit ``numpy`` raises
-:class:`BackendUnavailableError` when numpy is missing, ``auto``
-degrades to ``scalar``).
+strategy on the same backend ladder the MUSE engine uses (scalar,
+numpy, and the C kernels of :mod:`repro.rs.engine_native`), with the
+same semantics — an explicit request for a rung that cannot run raises
+:class:`BackendUnavailableError`, ``auto`` takes the fastest rung that
+accepts the code.
 
 Codeword batches are ``(batch, n_symbols)`` uint32 symbol arrays.  The
 numpy backend runs the whole t=1 PGZ flow vectorised:
@@ -36,20 +37,16 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.engine import resolve_backend
+import numpy as np
+
+from repro.engine import cached_engine
 from repro.engine.base import (
-    BackendUnavailableError,
     STATUS_CLEAN,
     STATUS_CORRECTED,
     STATUS_DETECTED_NO_MATCH,
     STATUS_DETECTED_RIPPLE,
 )
 from repro.rs.reed_solomon import RSCode, RSDecodeResult, RSDecodeStatus
-
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised only without numpy
-    np = None
 
 #: RS name for the fourth status bucket: the PGZ correction was valid
 #: but could not have been produced by a single failed device.
@@ -186,7 +183,7 @@ class RsDecodeEngine:
     "corrected" status buckets a PGZ correction lands in.
     """
 
-    #: registry name of the backend ("scalar" or "numpy")
+    #: ladder name of the backend ("scalar", "numpy" or "native")
     name: str
 
     def __init__(self, code: RSCode, device_bits: int | None = 4):
@@ -255,10 +252,6 @@ class NumpyRsEngine(RsDecodeEngine):
     name = "numpy"
 
     def __init__(self, code: RSCode, device_bits: int | None = 4):
-        if np is None:
-            raise BackendUnavailableError(
-                "numpy backend requested but numpy is missing"
-            )
         super().__init__(code, device_bits)
         field = code.field
         order = field.order
@@ -418,30 +411,34 @@ class NumpyRsEngine(RsDecodeEngine):
 
 
 # ----------------------------------------------------------------------
-# Registry
+# Backend ladder
 # ----------------------------------------------------------------------
+
+def _native_rs_factory(code, device_bits=4):
+    # Imported on first use: engine_native subclasses NumpyRsEngine.
+    from repro.rs.engine_native import NativeRsEngine
+
+    return NativeRsEngine(code, device_bits)
+
+
+_RS_FACTORIES = {
+    "scalar": ScalarRsEngine,
+    "numpy": NumpyRsEngine,
+    "native": _native_rs_factory,
+}
+
 
 def get_rs_engine(
     code: RSCode, backend: str = "auto", device_bits: int | None = 4
 ) -> RsDecodeEngine:
     """Build (or fetch the cached) RS engine for one code.
 
-    Shares the MUSE backend registry (:mod:`repro.engine`): backends
-    registered with an ``rs_factory`` are selectable here by name, an
-    explicit request for an unavailable backend raises
-    :class:`BackendUnavailableError`, and ``auto`` resolves to the
-    fastest available backend.
+    Shares the MUSE backend ladder and its engine cache loop
+    (:func:`repro.engine.cached_engine`): an explicit request for an
+    unavailable backend raises :class:`BackendUnavailableError`, and
+    ``auto`` resolves to the fastest rung that accepts the code.
     """
-    from repro.engine import rs_engine_factory
-
-    name = resolve_backend(backend)
-    cache = code.__dict__.setdefault("_rs_engine_cache", {})
-    key = (name, device_bits)
-    engine = cache.get(key)
-    if engine is None:
-        engine = rs_engine_factory(name)(code, device_bits)
-        cache[key] = engine
-    return engine
+    return cached_engine(code, backend, device_bits, _RS_FACTORIES)
 
 
 # ----------------------------------------------------------------------
@@ -454,13 +451,12 @@ def rs_msed_corruption_batch(
     """Encode ``trials`` random words and corrupt ``k_symbols`` each.
 
     Returns a ``(trials, n_symbols)`` uint32 batch of corrupted
-    codewords, consumable by either backend — the RS analogue of
+    codewords, consumable by any backend — the RS analogue of
     :func:`repro.engine.msed_corruption_batch`, and the reason a fixed
-    ``(trials, seed)`` run tallies identically scalar-vs-numpy.  A thin
-    wrapper over chunk ``[0, trials)`` of the counter-hashed stream in
-    :mod:`repro.orchestrate.corruption`, so the monolithic and chunked
-    generators can never diverge.  Requires numpy (it is the
-    generator, not a decoder).
+    ``(trials, seed)`` run tallies identically on every backend.  A
+    thin wrapper over chunk ``[0, trials)`` of the counter-hashed
+    stream in :mod:`repro.orchestrate.corruption`, so the monolithic
+    and chunked generators can never diverge.
     """
     from repro.orchestrate.corruption import rs_corruption_chunk
     from repro.orchestrate.plan import Chunk

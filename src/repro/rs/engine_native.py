@@ -1,11 +1,16 @@
 """The native Reed-Solomon backend: C PGZ kernels via ctypes.
 
 The RS twin of :mod:`repro.engine.native` — subclasses
-:class:`repro.rs.engine_numba.NumbaRsEngine` for the typed GF tables
-and encode constants, and dispatches batch decode and the fused
-corruption->decode->tally chunk to the shared kernel library compiled
-by :mod:`repro.engine.cc`.  Byte-identical tallies, native speed, no
-package installs.
+:class:`repro.rs.engine.NumpyRsEngine` for its GF tables and encode
+constants, adds the flat tables the C kernels read (GF exp/log arrays,
+symbol widths, the uint8 confinement lookup), and dispatches batch
+decode and the fused corruption->decode->tally chunk to the shared
+kernel library compiled by :mod:`repro.engine.cc`.  The fused kernel
+replays :func:`repro.orchestrate.corruption.rs_corruption_chunk` draw
+for draw (exact for ``k_symbols <= 2``, ``None`` otherwise), so
+tallies are byte-identical to every other backend; the engine declines
+codes wider than the kernels' fixed scratch, which ``auto`` answers by
+falling through to numpy.
 """
 
 from __future__ import annotations
@@ -15,8 +20,7 @@ import ctypes
 import numpy as np
 
 from repro.engine.base import BackendUnavailableError
-from repro.rs.engine import NumpyRsBatchResult
-from repro.rs.engine_numba import NumbaRsEngine
+from repro.rs.engine import NumpyRsBatchResult, NumpyRsEngine
 
 #: The C kernels use fixed stack scratch ``uint32_t word[64]``.
 MAX_NATIVE_SYMBOLS = 64
@@ -26,8 +30,12 @@ def _ptr(array: np.ndarray) -> ctypes.c_void_p:
     return ctypes.c_void_p(array.ctypes.data)
 
 
-class NativeRsEngine(NumbaRsEngine):
-    """C-kernel RS backend; numba's tables, ``cc``'s code."""
+class NativeRsEngine(NumpyRsEngine):
+    """C-kernel RS backend; numpy's tables, ``cc``'s code.
+
+    Cached per ``(code, device_bits)`` by ``get_rs_engine``, so a worker
+    builds the kernel tables once per code.
+    """
 
     name = "native"
 
@@ -46,6 +54,17 @@ class NativeRsEngine(NumbaRsEngine):
                 f"symbols, code needs {code.n_symbols}"
             )
         self._lib = library
+        field = code.field
+        self._exp2_nd = field.exp_nd
+        self._log_nd = field.log_nd
+        self._widths_nd = np.asarray(code.symbol_widths, dtype=np.int64)
+        self._pad_mask_i = int(self._pad_mask)
+        if self._confined is not None:
+            self._confined_u8 = self._confined.astype(np.uint8)
+            self._has_policy = True
+        else:
+            self._confined_u8 = np.zeros((1, 1), dtype=np.uint8)
+            self._has_policy = False
         self._conf_stride = self._confined_u8.shape[1]
 
     def decode_arrays(self, words: np.ndarray) -> NumpyRsBatchResult:
@@ -68,7 +87,12 @@ class NativeRsEngine(NumbaRsEngine):
         )
 
     def fused_chunk_counts(self, chunk, key: int, k_symbols: int):
-        """Fused corruption->decode->tally in C; ``None`` outside k<=2."""
+        """The 4-status counts of one fused corruption->decode chunk.
+
+        ``(clean, corrected, no_match, confinement)`` — byte-identical
+        to decoding ``rs_corruption_chunk`` — or ``None`` when
+        ``k_symbols`` falls outside the exactly-replayable 1..2 range.
+        """
         code = self.code
         if not 1 <= k_symbols <= min(2, code.n_symbols):
             return None
@@ -109,9 +133,6 @@ class NativeRsEngine(NumbaRsEngine):
             _ptr(value_keys), _ptr(counts),
         )
         return tuple(int(count) for count in counts)
-
-    def warmup(self) -> None:
-        """Nothing to JIT — compilation happened at import probe time."""
 
 
 __all__ = ["MAX_NATIVE_SYMBOLS", "NativeRsEngine"]

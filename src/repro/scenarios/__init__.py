@@ -8,9 +8,8 @@ scenario is a pure function of ``(spec, chunk range, splitmix64 key)``
 byte-identical across ``(chunk_size, jobs, workers)`` and backends at
 a fixed seed.
 
-Unlike the historical MSED generators (whose numpy-free sequential
-fallback is a *different* stream), every registered scenario ships two
-synchronised implementations of the **same** stream:
+Every registered fault scenario ships two synchronised
+implementations of the **same** stream:
 
 * ``corrupt_batch(skey, view, k_symbols)`` — vectorised over a whole
   chunk (:class:`BatchSymbolView`, numpy);

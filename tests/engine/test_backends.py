@@ -12,12 +12,7 @@ from repro.engine import (
     available_backends,
     get_engine,
     msed_corruption_batch,
-    numpy_available,
     resolve_backend,
-)
-
-requires_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="numpy backend unavailable"
 )
 
 ALL_CODES = [muse_144_132, muse_80_69, muse_80_67, muse_80_70]
@@ -32,7 +27,6 @@ class TestRegistry:
         with pytest.raises(ValueError):
             resolve_backend("cuda")
 
-    @requires_numpy
     def test_auto_resolves_highest_priority_available(self):
         """auto picks the fastest available rung of the backend ladder."""
         backends = available_backends()
@@ -48,7 +42,6 @@ class TestRegistry:
             code, "scalar", ripple_check=False
         )
 
-    @requires_numpy
     def test_numpy_backend_rejects_oversized_multiplier(self):
         from repro.core.symbols import SymbolLayout
         from repro.engine.numpy_backend import NumpyDecodeEngine
@@ -61,7 +54,6 @@ class TestRegistry:
             NumpyDecodeEngine(FakeCode())
 
 
-@requires_numpy
 class TestEncodeEquivalence:
     @pytest.mark.parametrize("factory", ALL_CODES, ids=CODE_IDS)
     def test_encode_batch_matches_scalar(self, factory):
@@ -84,7 +76,6 @@ class TestEncodeEquivalence:
 VECTOR_BACKENDS = [b for b in available_backends() if b != "scalar"]
 
 
-@requires_numpy
 class TestDecodeEquivalence:
     @pytest.mark.parametrize("backend", VECTOR_BACKENDS)
     @pytest.mark.parametrize("factory", ALL_CODES, ids=CODE_IDS)
@@ -148,7 +139,6 @@ class TestDecodeEquivalence:
         assert batch.results() == [code.decode(w) for w in words]
 
 
-@requires_numpy
 class TestLimbHelpers:
     def test_int_round_trip(self):
         from repro.engine.limbs import ints_to_limbs, limbs_to_ints
@@ -192,7 +182,6 @@ class TestLimbHelpers:
             residue(ints_to_limbs([1], 2), 1 << 30)
 
 
-@requires_numpy
 class TestSymbolBatchOps:
     """Vectorised extract/insert must mirror SymbolLayout bit for bit."""
 
@@ -236,7 +225,6 @@ class TestSymbolBatchOps:
 
 
 class TestTrialGeneration:
-    @requires_numpy
     def test_deterministic_under_seed(self):
         import numpy as np
 
@@ -245,7 +233,6 @@ class TestTrialGeneration:
         second = msed_corruption_batch(code, 500, seed=11)
         assert np.array_equal(first, second)
 
-    @requires_numpy
     def test_every_word_has_exactly_k_corrupted_symbols(self):
         """Recover the clean words from the shared counter-hashed data
         stream, then diff symbols against the corrupted batch."""
@@ -271,7 +258,6 @@ class TestTrialGeneration:
                 )
                 assert differing == k
 
-    @requires_numpy
     def test_k_symbols_bounds_checked(self):
         code = muse_80_69()
         with pytest.raises(ValueError):

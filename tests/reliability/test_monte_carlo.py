@@ -24,10 +24,6 @@ class TestMuseSimulator:
     def test_backends_produce_identical_tallies(self):
         """Same (trials, seed) -> byte-identical MsedResult on both
         backends: generation is shared, only the decoder differs."""
-        from repro.engine import available_backends
-
-        if "numpy" not in available_backends():
-            pytest.skip("numpy backend unavailable")
         for code in (muse_80_69(), muse_144_132()):
             for ripple in (True, False):
                 scalar = MuseMsedSimulator(
@@ -37,14 +33,6 @@ class TestMuseSimulator:
                     code, ripple_check=ripple, backend="numpy"
                 ).run(trials=1200, seed=2022)
                 assert scalar == vector
-
-    def test_sequential_fallback_matches_buckets_invariant(self):
-        """The numpy-free path still partitions every trial."""
-        simulator = MuseMsedSimulator(muse_80_69())
-        result = simulator._run_sequential(trials=400, seed=3)
-        assert (
-            result.detected + result.miscorrected + result.silent == result.trials
-        )
 
     def test_buckets_partition_trials(self):
         result = MuseMsedSimulator(muse_80_69()).run(trials=800, seed=1)

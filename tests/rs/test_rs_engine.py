@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from repro.engine import available_backends, numpy_available
+from repro.engine import available_backends
 from repro.engine.base import BackendUnavailableError
 from repro.reliability.monte_carlo import RsMsedSimulator
 from repro.rs.engine import (
@@ -25,10 +25,6 @@ from repro.rs.engine import (
     rs_msed_corruption_batch,
 )
 from repro.rs.reed_solomon import RSDecodeStatus, rs_for_channel
-
-requires_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="numpy backend unavailable"
-)
 
 #: All four Table-IV RS design points; b=7 and b=5 shorten mid-symbol.
 TABLE_IV_B = (8, 7, 6, 5)
@@ -54,23 +50,22 @@ class TestRegistry:
             code, "scalar", device_bits=None
         )
 
-    @requires_numpy
     def test_auto_prefers_fastest_available(self):
-        """auto lands on the registry's top rung; every vector backend
+        """auto lands on the ladder's top rung; every vector backend
         subclasses the numpy engine, so the tables are shared."""
         engine = get_rs_engine(make_code(8), "auto")
         assert isinstance(engine, NumpyRsEngine)
         assert engine.name == available_backends()[-1]
 
-    def test_explicit_numpy_raises_without_numpy(self, monkeypatch):
-        """Shared registry semantics: explicit numpy must not degrade."""
+    def test_explicit_native_raises_without_native(self, monkeypatch):
+        """Shared ladder semantics: explicit native must not degrade."""
         import repro.engine as engine_pkg
 
-        monkeypatch.setattr(engine_pkg, "numpy_available", lambda: False)
+        monkeypatch.setattr(engine_pkg, "native_available", lambda: False)
         with pytest.raises(BackendUnavailableError):
-            get_rs_engine(make_code(8), "numpy")
-        # auto degrades instead of raising
-        assert get_rs_engine(make_code(8), "auto").name == "scalar"
+            get_rs_engine(make_code(8), "native")
+        # auto takes the next rung down instead of raising
+        assert get_rs_engine(make_code(8), "auto").name == "numpy"
 
 
 class TestDeviceConfined:
@@ -105,7 +100,6 @@ class TestDeviceConfined:
             )
 
 
-@requires_numpy
 class TestEncodeEquivalence:
     @pytest.mark.parametrize("b", TABLE_IV_B)
     def test_encode_batch_matches_scalar(self, b):
@@ -135,7 +129,6 @@ class TestEncodeEquivalence:
 VECTOR_BACKENDS = [b for b in available_backends() if b != "scalar"]
 
 
-@requires_numpy
 class TestDecodeEquivalence:
     @pytest.mark.parametrize("backend", VECTOR_BACKENDS)
     @pytest.mark.parametrize("b", TABLE_IV_B)
@@ -230,18 +223,16 @@ class TestDecodeEquivalence:
 
 
 class TestSimulatorParity:
-    @requires_numpy
     @pytest.mark.parametrize("backend", VECTOR_BACKENDS)
     @pytest.mark.parametrize("b", TABLE_IV_B)
     def test_fixed_seed_tallies_identical(self, b, backend):
         """The Table-IV contract: byte-identical MsedResult per backend
-        (the JIT/native rungs take the fused chunk path here)."""
+        (the native rung takes the fused chunk path here)."""
         code = make_code(b)
         scalar = RsMsedSimulator(code, backend="scalar").run(1200, seed=2022)
         vector = RsMsedSimulator(code, backend=backend).run(1200, seed=2022)
         assert scalar == vector
 
-    @requires_numpy
     def test_policy_off_tallies_identical(self):
         code = make_code(8)
         scalar = RsMsedSimulator(
@@ -253,29 +244,16 @@ class TestSimulatorParity:
         assert scalar == vector
         assert scalar.detected_confinement == 0
 
-    def test_explicit_numpy_raises_when_generator_unavailable(self, monkeypatch):
-        import repro.rs.engine as rs_engine
+    def test_explicit_native_raises_when_unavailable(self, monkeypatch):
+        import repro.engine as engine_pkg
 
-        monkeypatch.setattr(rs_engine, "np", None)
-        simulator = RsMsedSimulator(make_code(8), backend="numpy")
+        monkeypatch.setattr(engine_pkg, "native_available", lambda: False)
+        simulator = RsMsedSimulator(make_code(8), backend="native")
         with pytest.raises(BackendUnavailableError):
             simulator.run(50, seed=1)
 
-    def test_auto_falls_back_to_sequential(self, monkeypatch):
-        """Without numpy, auto degrades to the original scalar loop."""
-        import repro.rs.engine as rs_engine
-
-        monkeypatch.setattr(rs_engine, "np", None)
-        result = RsMsedSimulator(make_code(8), backend="auto").run(200, seed=1)
-        assert (
-            result.detected + result.miscorrected + result.silent
-            == result.trials
-            == 200
-        )
-
 
 class TestCorruptionGeneration:
-    @requires_numpy
     def test_deterministic_under_seed(self):
         import numpy as np
 
@@ -284,7 +262,6 @@ class TestCorruptionGeneration:
         second = rs_msed_corruption_batch(code, 500, seed=11)
         assert np.array_equal(first, second)
 
-    @requires_numpy
     @pytest.mark.parametrize("k", (1, 2, 3))
     def test_every_word_has_exactly_k_corrupted_symbols(self, k):
         """Recover the clean words from the shared counter-hashed data
@@ -298,7 +275,6 @@ class TestCorruptionGeneration:
         corrupted = rs_msed_corruption_batch(code, 200, seed=seed, k_symbols=k)
         assert ((clean != corrupted).sum(axis=1) == k).all()
 
-    @requires_numpy
     def test_corrupted_symbols_respect_physical_widths(self):
         code = make_code(5)  # 4-bit partial last data symbol
         words = rs_msed_corruption_batch(code, 3000, seed=2, k_symbols=2)
@@ -306,7 +282,6 @@ class TestCorruptionGeneration:
             width = code.symbol_widths[index]
             assert int(words[:, index].max()) < (1 << width)
 
-    @requires_numpy
     def test_k_symbols_bounds_checked(self):
         code = make_code(8)
         with pytest.raises(ValueError):

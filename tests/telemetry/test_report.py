@@ -38,7 +38,7 @@ class TestSummarizeEvents:
             {"type": "span", "name": "decode_chunk", "seconds": 1.5,
              "attrs": {"point": "muse+2"}},
             {"type": "span", "name": "engine_build", "seconds": 0.25,
-             "attrs": {"backend": "numba"}},
+             "attrs": {"backend": "native"}},
         ]
         summary = summarize_events(events)
         assert summary["total_events"] == 3
