@@ -13,7 +13,7 @@ Two synchronised implementations:
 
 * :func:`trial_seed` / :func:`derive_key` — pure-Python 64-bit ints,
   feeding the scalar one-word-at-a-time reference generators
-  (``muse_/rs_clean_word``, ``muse_/rs_scenario_word``) and the other
+  (``corruption.clean_word`` / ``scenario_word``) and the other
   per-trial draws (chaos injection, the double-device extension);
 * :func:`counter_draws` — the same hash over a uint64 counter ndarray,
   feeding the vectorised corruption generators.

@@ -13,6 +13,11 @@ The contract a spec implements:
   ``run_chunk(chunk, key) -> tally`` where the tally supports
   ``merge`` (associative fold, see :class:`MsedTally`).
 
+The built-in specs — one per simulator and splitting estimator of each
+code family — share :class:`RunnerSpec`'s ``build()``, and runners make
+theirs with :func:`task_spec`, which checks the code against the
+family's signature (:mod:`repro.orchestrate.family`).
+
 :func:`run_chunk_task` is the function the process pool actually
 executes; :mod:`repro.orchestrate.pool` folds its results by group.
 """
@@ -20,8 +25,8 @@ executes; :mod:`repro.orchestrate.pool` folds its results by group.
 from __future__ import annotations
 
 import importlib
-from dataclasses import dataclass
-from typing import Any
+from dataclasses import dataclass, fields
+from typing import Any, ClassVar
 
 from repro.orchestrate.plan import Chunk
 
@@ -38,14 +43,17 @@ class CodeRef:
     args: tuple = ()
 
     def build(self) -> Any:
-        module_name, sep, attr = self.target.partition(":")
-        if not sep or not attr:
-            raise ValueError(
-                f"CodeRef target must look like 'module:callable', "
-                f"got {self.target!r}"
-            )
-        factory = getattr(importlib.import_module(module_name), attr)
-        return factory(*self.args)
+        return _resolve(self.target)(*self.args)
+
+
+def _resolve(target: str) -> Any:
+    """The object a ``"module:attr"`` target names."""
+    module_name, sep, attr = target.partition(":")
+    if not sep or not attr:
+        raise ValueError(
+            f"CodeRef target must look like 'module:callable', got {target!r}"
+        )
+    return getattr(importlib.import_module(module_name), attr)
 
 
 def as_code_ref(code_ref: "CodeRef | str | None") -> CodeRef:
@@ -62,16 +70,22 @@ def as_code_ref(code_ref: "CodeRef | str | None") -> CodeRef:
     return CodeRef(code_ref)
 
 
-def checked_code_ref(code_ref, code, signature) -> CodeRef:
+def checked_code_ref(code_ref, code) -> CodeRef:
     """Resolve ``code_ref`` and prove it rebuilds *this* code.
 
     Workers tally whatever the ref's factory returns, so a ref naming a
     different code would silently break the jobs-invariance contract;
     one parent-side rebuild per run catches the mismatch up front.
     """
+    from repro.orchestrate.family import family_of
+
     ref = as_code_ref(code_ref)
     rebuilt = ref.build()
-    if signature(rebuilt) != signature(code):
+    family = family_of(code)
+    if (
+        family_of(rebuilt) is not family
+        or family.signature(rebuilt) != family.signature(code)
+    ):
         raise ValueError(
             f"code_ref {ref.target!r} (args={ref.args!r}) rebuilds "
             f"{rebuilt!r}, which does not match this simulator's code "
@@ -80,19 +94,43 @@ def checked_code_ref(code_ref, code, signature) -> CodeRef:
     return ref
 
 
-def muse_signature(code) -> tuple:
-    """What must match for two MUSE codes to tally identically."""
-    return (code.n, code.m, code.layout.symbols)
+class RunnerSpec:
+    """The shared ``build()`` of the frozen worker recipes.
+
+    A spec's fields are its runner's constructor fields, with ``code``
+    held as a :class:`CodeRef`; ``runner`` names the runner class as
+    ``"module:Class"`` (resolved in the worker, so this module imports
+    nothing above it).
+    """
+
+    runner: ClassVar[str]
+
+    def build(self):
+        values = {field.name: getattr(self, field.name) for field in fields(self)}
+        values["code"] = self.code.build()
+        return _resolve(self.runner)(**values)
 
 
-def rs_signature(code) -> tuple:
-    """What must match for two RS codes to tally identically."""
-    return (code.symbol_bits, code.data_symbols, code.partial_bits)
+def task_spec(runner, spec_types: dict) -> Any:
+    """The picklable recipe rebuilding ``runner`` inside a worker.
+
+    ``spec_types`` maps a code-family name to its spec class; the spec
+    copies its fields off ``runner`` and swaps the code for the
+    runner's checked ``code_ref``.
+    """
+    from repro.orchestrate.family import family_of
+
+    spec_type = spec_types[family_of(runner.code).name]
+    values = {field.name: getattr(runner, field.name) for field in fields(spec_type)}
+    values["code"] = checked_code_ref(runner.code_ref, runner.code)
+    return spec_type(**values)
 
 
 @dataclass(frozen=True)
-class MuseSimSpec:
+class MuseSimSpec(RunnerSpec):
     """Rebuild a :class:`MuseMsedSimulator` inside a worker."""
+
+    runner = "repro.reliability.monte_carlo:MuseMsedSimulator"
 
     code: CodeRef
     k_symbols: int = 2
@@ -103,21 +141,12 @@ class MuseSimSpec:
     #: and checkpoint cells of two scenarios can never collide.
     scenario: str = "msed"
 
-    def build(self):
-        from repro.reliability.monte_carlo import MuseMsedSimulator
-
-        return MuseMsedSimulator(
-            self.code.build(),
-            k_symbols=self.k_symbols,
-            ripple_check=self.ripple_check,
-            backend=self.backend,
-            scenario=self.scenario,
-        )
-
 
 @dataclass(frozen=True)
-class RsSimSpec:
+class RsSimSpec(RunnerSpec):
     """Rebuild an :class:`RsMsedSimulator` inside a worker."""
+
+    runner = "repro.reliability.monte_carlo:RsMsedSimulator"
 
     code: CodeRef
     k_symbols: int = 2
@@ -125,17 +154,6 @@ class RsSimSpec:
     backend: str = "auto"
     #: Registered fault-scenario name; see :class:`MuseSimSpec`.
     scenario: str = "msed"
-
-    def build(self):
-        from repro.reliability.monte_carlo import RsMsedSimulator
-
-        return RsMsedSimulator(
-            self.code.build(),
-            k_symbols=self.k_symbols,
-            device_bits=self.device_bits,
-            backend=self.backend,
-            scenario=self.scenario,
-        )
 
 
 def group_labels(count: int, group_ns: "str | None") -> list:

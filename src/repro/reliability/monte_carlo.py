@@ -17,6 +17,12 @@ Two decoders participate:
   two devices).  Without this policy RS MSED drops by roughly its
   locator-validity factor; the ablation flag lets you measure both.
 
+Both run through one simulator body, :class:`MsedSimulator`: the
+public :class:`MuseMsedSimulator` / :class:`RsMsedSimulator` only
+declare their fields (each with its decode-policy field), and the
+code-family contract (:mod:`repro.orchestrate.family`) supplies the
+codeword storage and the decode-policy engine.
+
 Execution is *streamed*: a run is split into fixed-size chunks
 (:mod:`repro.orchestrate.plan`) whose corruption streams are counter
 hashes of the global trial index, so every chunk's tally is a pure
@@ -37,13 +43,8 @@ from repro.core.codec import MuseCode
 from repro.core.error_model import SymbolErrorModel
 from repro.core.search import MultiplierSearch
 from repro.core.symbols import SymbolLayout
-from repro.engine import get_engine
-from repro.orchestrate.corruption import (
-    muse_corruption_chunk,
-    muse_scenario_chunk,
-    rs_corruption_chunk,
-    rs_scenario_chunk,
-)
+from repro.orchestrate.corruption import scenario_chunk
+from repro.orchestrate.family import family_of
 from repro.orchestrate.plan import Chunk, plan_chunks
 from repro.orchestrate.pool import ProgressCallback, run_sharded
 from repro.orchestrate.rng import derive_key
@@ -52,10 +53,8 @@ from repro.orchestrate.worker import (
     CodeRef,
     MuseSimSpec,
     RsSimSpec,
-    checked_code_ref,
     group_labels,
-    muse_signature,
-    rs_signature,
+    task_spec,
 )
 from repro.reliability.metrics import (
     DesignPoint,
@@ -74,68 +73,21 @@ from repro.reliability.sampling.sequential import (
     AdaptiveRunner,
 )
 from repro.rs.chipkill import assess
-from repro.rs.engine import get_rs_engine
 from repro.rs.reed_solomon import RSCode, rs_for_channel
+from repro.scenarios import resolve_scenario
 
 
-def _streamed_run(
-    simulator,
-    trials: int,
-    seed: int,
-    jobs: int,
-    chunk_size: int | None,
-    progress: ProgressCallback | None,
-    executor=None,
-) -> MsedResult:
-    """One simulator's run is the single-point case of the shared
-    design-point grid runner — one skeleton, never two to keep in sync.
-    """
-    return run_design_points(
-        [simulator], trials, seed, jobs, chunk_size, progress, executor
-    )[0]
+class MsedSimulator:
+    """Inject k-symbol errors into a code and classify the outcomes.
 
-
-def _adaptive_run(
-    simulator,
-    policy: AdaptivePolicy | None,
-    seed: int,
-    jobs: int,
-    chunk_size: int | None,
-    progress: ProgressCallback | None,
-    executor=None,
-) -> AdaptiveOutcome:
-    """Shared ``run_adaptive`` body of both simulator classes."""
-    runner = AdaptiveRunner(policy if policy is not None else AdaptivePolicy())
-    return runner.run_one(simulator, seed, jobs, chunk_size, progress, executor)
-
-
-@dataclass
-class MuseMsedSimulator:
-    """Inject k-symbol errors into a MUSE code and classify outcomes.
-
-    Corruptions are generated chunk by chunk by
-    :func:`repro.orchestrate.corruption.muse_corruption_chunk` and
-    classified by batch decodes.  ``backend`` selects the decode engine
-    ("scalar", "numpy", "native" or "auto"); the counter-hashed trial
-    stream depends on neither the backend nor the chunking, so the
-    tally of a fixed ``(trials, seed)`` run is byte-identical across
+    The one simulator body behind :class:`MuseMsedSimulator` and
+    :class:`RsMsedSimulator`, which only declare their fields; the code
+    family (:func:`repro.orchestrate.family.family_of`) supplies the
+    codeword storage and the decode-policy engine.  The counter-hashed
+    trial stream depends on neither the backend nor the chunking, so
+    the tally of a fixed ``(trials, seed)`` run is byte-identical across
     backends and across every ``(chunk_size, jobs)`` split.
-
-    ``code_ref`` (a :class:`~repro.orchestrate.worker.CodeRef` or a
-    ``"module:callable"`` string) is only needed for ``jobs > 1``: it
-    lets worker processes rebuild the code instead of pickling it.
     """
-
-    code: MuseCode
-    k_symbols: int = 2
-    ripple_check: bool = True
-    backend: str = "auto"
-    code_ref: CodeRef | str | None = None
-    #: Which registered fault scenario to inject (:mod:`repro.scenarios`).
-    #: The default "msed" is the paper's transient model and keeps the
-    #: historical stream (fused kernels included); every other scenario
-    #: runs generate-then-decode with a byte-identical scalar reference.
-    scenario: str = "msed"
 
     def run(
         self,
@@ -147,9 +99,11 @@ class MuseMsedSimulator:
         progress: ProgressCallback | None = None,
         executor=None,
     ) -> MsedResult:
-        return _streamed_run(
-            self, trials, seed, jobs, chunk_size, progress, executor
-        )
+        """One simulator's run is the single-point case of the shared
+        design-point grid runner."""
+        return run_design_points(
+            [self], trials, seed, jobs, chunk_size, progress, executor
+        )[0]
 
     def run_adaptive(
         self,
@@ -167,9 +121,8 @@ class MuseMsedSimulator:
         the fixed-trial stream at the same seed (see
         :mod:`repro.reliability.sampling.sequential`).
         """
-        return _adaptive_run(
-            self, policy, seed, jobs, chunk_size, progress, executor
-        )
+        runner = AdaptiveRunner(policy if policy is not None else AdaptivePolicy())
+        return runner.run_one(self, seed, jobs, chunk_size, progress, executor)
 
     def run_chunk(self, chunk: Chunk, key: int) -> MsedTally:
         """Classify one chunk of the stream keyed by ``key``.
@@ -178,87 +131,77 @@ class MuseMsedSimulator:
         returned tallies over a run's chunks reproduces ``run``.
 
         Engines exposing ``fused_chunk_counts`` (the native backend)
-        run corruption draw, decode, and tally in one compiled pass —
-        byte-identical counts, no intermediate batch arrays; every
-        other engine decodes the generated chunk.
-        Non-default scenarios bypass the fused kernels (those compile
-        the msed stream only) and generate-then-decode instead.
+        run the msed corruption draw, decode, and tally in one compiled
+        pass — byte-identical counts, no intermediate batch arrays.
+        Every other engine, and every non-default scenario (the fused
+        kernels compile the msed stream only), decodes the generated
+        chunk instead.
         """
-        if self.scenario != "msed":
-            return self._scenario_chunk(chunk, key)
-        engine = get_engine(
-            self.code, self.backend, ripple_check=self.ripple_check
+        family = family_of(self.code)
+        engine = family.engine(
+            self.code, self.backend, getattr(self, family.policy)
         )
         fused = getattr(engine, "fused_chunk_counts", None)
-        counts = fused(chunk, key, self.k_symbols) if fused is not None else None
+        counts = None
+        if self.scenario == "msed" and fused is not None:
+            counts = fused(chunk, key, self.k_symbols)
         if counts is None:
-            words = muse_corruption_chunk(self.code, chunk, key, self.k_symbols)
+            words = scenario_chunk(
+                resolve_scenario(self.scenario),
+                self.code,
+                chunk,
+                key,
+                self.k_symbols,
+            )
             counts = engine.decode_batch(words).counts()
-        clean, corrected, no_match, ripple = counts
+        clean, corrected, no_match, confinement = counts
         tally = MsedTally()
-        # k >= 2 symbols were corrupted, so a delivered word is never
-        # the original: CLEAN means the corruption aliased to a valid
-        # codeword (silent), CORRECTED means a single-symbol
-        # miscorrection.
+        # The delivered word is classified: CLEAN means the corruption
+        # aliased to a valid codeword (silent), CORRECTED a
+        # symbol-confined miscorrection the decode policy failed to
+        # veto.
         tally.record_counts(
             silent=clean,
             miscorrected=corrected,
             detected_no_match=no_match,
-            detected_confinement=ripple,
+            detected_confinement=confinement,
         )
         return tally
 
-    def _task_spec(self) -> MuseSimSpec:
-        return MuseSimSpec(
-            code=checked_code_ref(self.code_ref, self.code, muse_signature),
-            k_symbols=self.k_symbols,
-            ripple_check=self.ripple_check,
-            backend=self.backend,
-            scenario=self.scenario,
-        )
-
-    def _scenario_chunk(self, chunk: Chunk, key: int) -> MsedTally:
-        """One chunk of a registered (non-msed) scenario stream.
-
-        Generate-then-decode on whatever engine ``backend`` resolves
-        to.
-        """
-        from repro.scenarios import resolve_scenario
-
-        scenario = resolve_scenario(self.scenario)
-        engine = get_engine(
-            self.code, self.backend, ripple_check=self.ripple_check
-        )
-        words = muse_scenario_chunk(
-            scenario, self.code, chunk, key, self.k_symbols
-        )
-        counts = engine.decode_batch(words).counts()
-        clean, corrected, no_match, ripple = counts
-        tally = MsedTally()
-        # Tallies classify the delivered word: CLEAN means the
-        # scenario's disturbance aliased to a valid codeword (silent),
-        # CORRECTED a symbol-confined miscorrection.
-        tally.record_counts(
-            silent=clean,
-            miscorrected=corrected,
-            detected_no_match=no_match,
-            detected_confinement=ripple,
-        )
-        return tally
+    def _task_spec(self) -> "MuseSimSpec | RsSimSpec":
+        return task_spec(self, {"muse": MuseSimSpec, "rs": RsSimSpec})
 
 
 @dataclass
-class RsMsedSimulator:
-    """Inject k-symbol errors into an RS code and classify outcomes.
+class MuseMsedSimulator(MsedSimulator):
+    """The MSED simulator of a MUSE code.
+
+    ``ripple_check`` is the decode policy: correction ripple
+    (overflow/underflow) detects.  ``code_ref`` (a
+    :class:`~repro.orchestrate.worker.CodeRef` or a ``"module:callable"``
+    string) is only needed for ``jobs > 1``: it lets worker processes
+    rebuild the code instead of pickling it.
+    """
+
+    code: MuseCode
+    k_symbols: int = 2
+    ripple_check: bool = True
+    backend: str = "auto"
+    code_ref: CodeRef | str | None = None
+    #: Which registered fault scenario to inject (:mod:`repro.scenarios`).
+    #: The default "msed" is the paper's transient model and keeps the
+    #: historical stream (fused kernels included); every other scenario
+    #: runs generate-then-decode with a byte-identical scalar reference.
+    scenario: str = "msed"
+
+
+@dataclass
+class RsMsedSimulator(MsedSimulator):
+    """The MSED simulator of an RS code.
 
     ``device_bits`` enables the device-confinement decode policy
     (defaults to x4, matching the paper's DIMMs); ``None`` disables it.
-    Like :class:`MuseMsedSimulator`, corruptions come from the shared
-    counter-hashed chunk generator
-    (:func:`repro.orchestrate.corruption.rs_corruption_chunk`), so the
-    tally of a fixed ``(trials, seed)`` run is byte-identical across
-    backends and every ``(chunk_size, jobs)`` split.  ``code_ref``
-    names a factory for worker processes (``jobs > 1``).
+    ``code_ref`` and ``scenario`` are as for :class:`MuseMsedSimulator`.
     """
 
     code: RSCode
@@ -266,104 +209,7 @@ class RsMsedSimulator:
     device_bits: int | None = 4
     backend: str = "auto"
     code_ref: CodeRef | str | None = None
-    #: Registered fault scenario to inject (:mod:`repro.scenarios`);
-    #: see :class:`MuseMsedSimulator`.
     scenario: str = "msed"
-
-    def run(
-        self,
-        trials: int = 10_000,
-        seed: int = 2022,
-        *,
-        jobs: int = 1,
-        chunk_size: int | None = None,
-        progress: ProgressCallback | None = None,
-        executor=None,
-    ) -> MsedResult:
-        return _streamed_run(
-            self, trials, seed, jobs, chunk_size, progress, executor
-        )
-
-    def run_adaptive(
-        self,
-        policy: AdaptivePolicy | None = None,
-        seed: int = 2022,
-        *,
-        jobs: int = 1,
-        chunk_size: int | None = None,
-        progress: ProgressCallback | None = None,
-        executor=None,
-    ) -> AdaptiveOutcome:
-        """Grow this simulator's trial stream until ``policy`` is met."""
-        return _adaptive_run(
-            self, policy, seed, jobs, chunk_size, progress, executor
-        )
-
-    def run_chunk(self, chunk: Chunk, key: int) -> MsedTally:
-        """Classify one chunk of the stream keyed by ``key``.
-
-        Like the MUSE simulator, engines exposing
-        ``fused_chunk_counts`` tally the chunk in one compiled
-        draw->decode pass; other engines decode the generated batch,
-        and non-default scenarios always generate-then-decode.
-        """
-        if self.scenario != "msed":
-            return self._scenario_chunk(chunk, key)
-        engine = get_rs_engine(
-            self.code, self.backend, device_bits=self.device_bits
-        )
-        fused = getattr(engine, "fused_chunk_counts", None)
-        counts = fused(chunk, key, self.k_symbols) if fused is not None else None
-        if counts is None:
-            words = rs_corruption_chunk(self.code, chunk, key, self.k_symbols)
-            counts = engine.decode_batch(words).counts()
-        clean, corrected, no_match, confinement = counts
-        tally = MsedTally()
-        # k >= 2 corrupted symbols: CLEAN means the corruption aliased
-        # to a valid codeword (silent), CORRECTED is a miscorrection the
-        # device policy failed to veto.
-        tally.record_counts(
-            silent=clean,
-            miscorrected=corrected,
-            detected_no_match=no_match,
-            detected_confinement=confinement,
-        )
-        return tally
-
-    def _task_spec(self) -> RsSimSpec:
-        return RsSimSpec(
-            code=checked_code_ref(self.code_ref, self.code, rs_signature),
-            k_symbols=self.k_symbols,
-            device_bits=self.device_bits,
-            backend=self.backend,
-            scenario=self.scenario,
-        )
-
-    def _scenario_chunk(self, chunk: Chunk, key: int) -> MsedTally:
-        """One chunk of a registered (non-msed) scenario stream.
-
-        See :meth:`MuseMsedSimulator._scenario_chunk` — same
-        generate-then-decode shape.
-        """
-        from repro.scenarios import resolve_scenario
-
-        scenario = resolve_scenario(self.scenario)
-        engine = get_rs_engine(
-            self.code, self.backend, device_bits=self.device_bits
-        )
-        words = rs_scenario_chunk(
-            scenario, self.code, chunk, key, self.k_symbols
-        )
-        counts = engine.decode_batch(words).counts()
-        clean, corrected, no_match, confinement = counts
-        tally = MsedTally()
-        tally.record_counts(
-            silent=clean,
-            miscorrected=corrected,
-            detected_no_match=no_match,
-            detected_confinement=confinement,
-        )
-        return tally
 
 
 # ----------------------------------------------------------------------
@@ -435,7 +281,7 @@ _SELF = "repro.reliability.monte_carlo"
 
 
 def run_design_points(
-    simulators: "list[MuseMsedSimulator | RsMsedSimulator]",
+    simulators: "list[MsedSimulator]",
     trials: int,
     seed: int,
     jobs: int = 1,
@@ -489,7 +335,7 @@ def run_design_points(
 
 
 def run_design_points_adaptive(
-    simulators: "list[MuseMsedSimulator | RsMsedSimulator]",
+    simulators: "list[MsedSimulator]",
     policy: "AdaptivePolicy | CampaignPolicy",
     seed: int,
     jobs: int = 1,
@@ -542,7 +388,7 @@ def run_design_points_adaptive(
 
 
 def run_design_points_with_outcomes(
-    simulators: "list[MuseMsedSimulator | RsMsedSimulator]",
+    simulators: "list[MsedSimulator]",
     trials: int,
     seed: int,
     jobs: int = 1,
@@ -610,8 +456,9 @@ def build_table_iv(
     registered fault scenario (:mod:`repro.scenarios`) — same grid,
     same determinism contract, per-scenario result-cache cells.
     """
-    entries: list[tuple[str, int, object]] = []
-    simulators: list[MuseMsedSimulator | RsMsedSimulator] = []
+    #: (family, extra bits, label, chipkill, note) per simulator
+    points: list[tuple[str, int, str, bool, str]] = []
+    simulators: list[MsedSimulator] = []
     for extra_bits in range(0, 6):
         code = muse_design_point(extra_bits)
         simulators.append(
@@ -623,7 +470,7 @@ def build_table_iv(
                 scenario=scenario,
             )
         )
-        entries.append(("MUSE", extra_bits, code))
+        points.append(("MUSE", extra_bits, f"{code.name} m={code.m}", True, ""))
     for extra_bits in (0, 2, 4, 6):
         code = rs_design_point(extra_bits)
         simulators.append(
@@ -636,7 +483,9 @@ def build_table_iv(
                 scenario=scenario,
             )
         )
-        entries.append(("RS", extra_bits, code))
+        verdict = assess(code.symbol_bits, 4, 144)
+        note = "" if verdict.chipkill else verdict.explain()
+        points.append(("RS", extra_bits, repr(code), verdict.chipkill, note))
 
     results, outcomes = run_design_points_with_outcomes(
         simulators, trials, seed, jobs, chunk_size, progress, adaptive,
@@ -644,31 +493,18 @@ def build_table_iv(
     )
 
     table = TableIV()
-    for (family, extra_bits, code), result, outcome in zip(
-        entries, results, outcomes
+    for (family, extra_bits, label, chipkill, note), result, outcome in zip(
+        points, results, outcomes
     ):
-        if family == "MUSE":
-            table.add(
-                DesignPoint(
-                    family="MUSE",
-                    extra_bits=extra_bits,
-                    label=f"{code.name} m={code.m}",
-                    chipkill=True,
-                    result=result,
-                    sampling=outcome,
-                )
+        table.add(
+            DesignPoint(
+                family=family,
+                extra_bits=extra_bits,
+                label=label,
+                chipkill=chipkill,
+                result=result,
+                note=note,
+                sampling=outcome,
             )
-        else:
-            verdict = assess(code.symbol_bits, 4, 144)
-            table.add(
-                DesignPoint(
-                    family="RS",
-                    extra_bits=extra_bits,
-                    label=repr(code),
-                    chipkill=verdict.chipkill,
-                    result=result,
-                    note="" if verdict.chipkill else verdict.explain(),
-                    sampling=outcome,
-                )
-            )
+        )
     return table

@@ -45,7 +45,7 @@ events emitted here keep that property.)
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable, Sequence
 
 from repro import telemetry
@@ -240,7 +240,8 @@ class CampaignOutcome:
     trials_cached: int = 0
     #: How the zero-event tail was handled when ``escalated``:
     #: "importance splitting" where the estimator supports the
-    #: scenario, "Clopper-Pearson tail bound" otherwise.
+    #: scenario and ``k_symbols >= 2``, "Clopper-Pearson tail bound"
+    #: otherwise.
     escalation: str = "importance splitting"
 
     @property
@@ -280,42 +281,34 @@ def _execute_chunk_task(task: ChunkTask) -> tuple[ChunkTask, MsedTally]:
 
 
 def _splitting_estimator(simulator: Any) -> Any | None:
-    """Build the splitting twin of ``simulator``, or None if unknown.
+    """Build the splitting twin of ``simulator``, or None if it has none.
 
-    Imported lazily: campaigns that never escalate need not load the
-    splitting machinery.  Returns None for fault scenarios the splitting
-    estimator does not support — the prefix stream it branches over is
-    the plain msed one — so the campaign reports a Clopper-Pearson
-    bound for those points instead.
+    The twin shares the simulator's code, ``k_symbols``, decode policy,
+    backend and ``code_ref`` field for field.  Imported lazily:
+    campaigns that never escalate need not load the splitting
+    machinery.  Returns None where splitting cannot bound the tail —
+    fault scenarios whose stream is not the plain msed prefix stream it
+    branches over, and ``k_symbols < 2``, which leaves no prefix to
+    split — so the campaign reports a Clopper-Pearson bound for those
+    points instead.
     """
     from repro.scenarios import resolve_scenario
 
-    name = getattr(simulator, "scenario", "msed")
-    if not resolve_scenario(name).supports_splitting:
+    if simulator.k_symbols < 2:
+        return None
+    if not resolve_scenario(simulator.scenario).supports_splitting:
         return None
 
+    from repro.orchestrate.family import family_of
     from repro.reliability.sampling.splitting import (
         MuseSplittingEstimator,
         RsSplittingEstimator,
     )
 
-    if hasattr(simulator, "ripple_check"):
-        return MuseSplittingEstimator(
-            simulator.code,
-            k_symbols=simulator.k_symbols,
-            ripple_check=simulator.ripple_check,
-            backend=simulator.backend,
-            code_ref=simulator.code_ref,
-        )
-    if hasattr(simulator, "device_bits"):
-        return RsSplittingEstimator(
-            simulator.code,
-            k_symbols=simulator.k_symbols,
-            device_bits=simulator.device_bits if simulator.device_bits else 4,
-            backend=simulator.backend,
-            code_ref=simulator.code_ref,
-        )
-    return None
+    twin = {"muse": MuseSplittingEstimator, "rs": RsSplittingEstimator}[
+        family_of(simulator.code).name
+    ]
+    return twin(**{f.name: getattr(simulator, f.name) for f in fields(twin)})
 
 
 @dataclass
@@ -518,9 +511,8 @@ class CampaignRunner:
                 continue
             estimator = _splitting_estimator(simulators[i])
             if estimator is None:
-                # No splitting twin (unsupported scenario or family):
-                # bound the zero-event tail with the exact
-                # Clopper-Pearson interval of the plain stream instead.
+                # No splitting twin: bound the zero-event tail with the
+                # exact Clopper-Pearson interval of the plain stream.
                 escalations[i] = "Clopper-Pearson tail bound"
                 tail_bounds[i] = tallies[i].freeze().interval(
                     kind="clopper-pearson",
@@ -528,15 +520,9 @@ class CampaignRunner:
                     metric=base.metric,
                 )
                 continue
-            try:
-                tail_bounds[i] = estimator.run(
-                    self.policy.escalation_trials, seed=seed
-                )
-            except Exception:
-                # Splitting that cannot run for this point (e.g. a
-                # k_symbols outside its prefix range) leaves it its
-                # zero-event plain interval.
-                tail_bounds[i] = None
+            tail_bounds[i] = estimator.run(
+                self.policy.escalation_trials, seed=seed
+            )
 
         return [
             CampaignOutcome(

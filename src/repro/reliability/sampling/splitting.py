@@ -9,8 +9,7 @@ The estimator here splits every sampled trial at the last corruption
 step.  A trial of the plain stream is (data word, ``k`` chosen symbols,
 ``k`` replacement values); the *prefix* — everything except the final
 replacement value — is sampled exactly as in the plain stream
-(:func:`repro.orchestrate.corruption.muse_split_chunk` /
-:func:`~repro.orchestrate.corruption.rs_split_chunk` reuse its DATA,
+(:func:`repro.orchestrate.corruption.split_chunk` reuses its DATA,
 CHOICE and VALUE draws), and the final value is then **branched over
 exhaustively**: all ``2^w - 1`` values the held-out ``w``-bit symbol
 could take (never the original — the plain stream's final draw is
@@ -48,19 +47,13 @@ from statistics import NormalDist
 
 import numpy as np
 
-from repro.engine import get_engine
 from repro.engine.base import STATUS_CLEAN, STATUS_CORRECTED
-from repro.orchestrate.corruption import muse_split_chunk, rs_split_chunk
+from repro.orchestrate.corruption import split_chunk
+from repro.orchestrate.family import family_of
 from repro.orchestrate.plan import plan_chunks
 from repro.orchestrate.pool import ProgressCallback, run_sharded
 from repro.orchestrate.rng import derive_key
-from repro.orchestrate.worker import (
-    ChunkTask,
-    CodeRef,
-    checked_code_ref,
-    muse_signature,
-    rs_signature,
-)
+from repro.orchestrate.worker import ChunkTask, CodeRef, RunnerSpec, task_spec
 from repro.reliability.sampling.intervals import (
     Interval,
     clopper_pearson_interval,
@@ -250,13 +243,16 @@ class SplitResult:
         )
 
 
-class _SplittingEstimator:
-    """Shared run/fold skeleton of the two family estimators.
+class SplittingEstimator:
+    """Importance-splitting rate estimator for a code of either family.
 
-    Subclasses implement :meth:`run_chunk` (generate prefix chunk,
-    branch, decode, tally) and :meth:`_task_spec` (picklable worker
-    recipe); ``run`` streams the plan exactly like the plain
-    simulators, in process or across a pool.
+    The one estimator body behind :class:`MuseSplittingEstimator` and
+    :class:`RsSplittingEstimator`, which only declare their fields.
+    ``run`` streams the plan exactly like the plain simulators, in
+    process or across a pool.  The branch fan is generated as numpy
+    batches; ``backend`` still selects the decode engine, and because
+    every engine classifies identically the tally is byte-identical
+    across them.
     """
 
     def run(
@@ -284,26 +280,32 @@ class _SplittingEstimator:
                 progress(done, len(chunks))
         return tally.freeze()
 
-    def _branch_tally(
-        self, widths, last, decode, read_original, branch_batch
-    ) -> SplitTally:
-        """The per-chunk branch-and-classify loop both families share.
+    def run_chunk(self, chunk, key: int) -> SplitTally:
+        """Generate the chunk's prefixes, branch, decode and tally.
 
         For each held-out symbol index: gather its rows, expand every
-        row into the full ``2^w`` value fan with ``branch_batch``,
-        decode, and count silent / miscorrected continuations per
-        prefix — masking out each row's original-value branch, which
-        belongs to the ``k-1``-error prefix, not the stream.
+        row into the full ``2^w`` value fan, decode, and count silent /
+        miscorrected continuations per prefix — masking out each row's
+        original-value branch, which belongs to the ``k-1``-error
+        prefix, not the stream.
         """
+        code = self.code
+        family = family_of(code)
+        words, last = split_chunk(code, chunk, key, self.k_symbols)
+        engine = family.engine(code, self.backend, getattr(self, family.policy))
+        prefixes = family.batch_view(code, words)
         tally = SplitTally()
-        for index, width in enumerate(widths):
+        for index, width in enumerate(prefixes.widths):
             rows = np.flatnonzero(last == index)
             if rows.size == 0:
                 continue
             space = 1 << width
-            originals = read_original(rows, index).astype(np.uint64)
-            words, values = branch_batch(rows, index, space)
-            statuses = np.asarray(decode(words)).reshape(rows.size, space)
+            originals = prefixes.read(rows, index)
+            branches = np.repeat(words[rows], space, axis=0)
+            values = np.tile(np.arange(space, dtype=np.uint64), rows.size)
+            family.batch_view(code, branches).write(slice(None), index, values)
+            statuses = np.asarray(engine.decode_batch(branches).statuses)
+            statuses = statuses.reshape(rows.size, space)
             valid = values.reshape(rows.size, space) != originals[:, None]
             silent = ((statuses == STATUS_CLEAN) & valid).sum(axis=1)
             miscorrected = ((statuses == STATUS_CORRECTED) & valid).sum(axis=1)
@@ -317,15 +319,13 @@ class _SplittingEstimator:
             )
         return tally
 
+    def _task_spec(self) -> "MuseSplitSpec | RsSplitSpec":
+        return task_spec(self, {"muse": MuseSplitSpec, "rs": RsSplitSpec})
+
 
 @dataclass
-class MuseSplittingEstimator(_SplittingEstimator):
-    """Importance-splitting rate estimator for a MUSE code.
-
-    The branch fan is generated as numpy batches; ``backend`` still
-    selects the decode engine, and because every engine classifies
-    identically the tally is byte-identical across them.
-    """
+class MuseSplittingEstimator(SplittingEstimator):
+    """Importance-splitting rate estimator for a MUSE code."""
 
     code: object
     k_symbols: int = 2
@@ -333,45 +333,9 @@ class MuseSplittingEstimator(_SplittingEstimator):
     backend: str = "auto"
     code_ref: CodeRef | str | None = None
 
-    def run_chunk(self, chunk, key: int) -> SplitTally:
-        from repro.engine.numpy_backend import (
-            extract_symbol_batch,
-            insert_symbol_batch,
-        )
-
-        code = self.code
-        layout = code.layout
-        words, last = muse_split_chunk(code, chunk, key, self.k_symbols)
-        engine = get_engine(code, self.backend, ripple_check=self.ripple_check)
-
-        def read_original(rows, index):
-            return extract_symbol_batch(words[rows], layout, index)
-
-        def branch_batch(rows, index, space):
-            branch_words = np.repeat(words[rows], space, axis=0)
-            values = np.tile(np.arange(space, dtype=np.uint64), rows.size)
-            insert_symbol_batch(branch_words, layout, index, values)
-            return branch_words, values
-
-        return self._branch_tally(
-            [len(symbol) for symbol in layout.symbols],
-            last,
-            lambda batch: engine.decode_batch(batch).statuses,
-            read_original,
-            branch_batch,
-        )
-
-    def _task_spec(self) -> "MuseSplitSpec":
-        return MuseSplitSpec(
-            code=checked_code_ref(self.code_ref, self.code, muse_signature),
-            k_symbols=self.k_symbols,
-            ripple_check=self.ripple_check,
-            backend=self.backend,
-        )
-
 
 @dataclass
-class RsSplittingEstimator(_SplittingEstimator):
+class RsSplittingEstimator(SplittingEstimator):
     """Importance-splitting rate estimator for an RS code."""
 
     code: object
@@ -380,70 +344,26 @@ class RsSplittingEstimator(_SplittingEstimator):
     backend: str = "auto"
     code_ref: CodeRef | str | None = None
 
-    def run_chunk(self, chunk, key: int) -> SplitTally:
-        from repro.rs.engine import get_rs_engine
-
-        code = self.code
-        words, last = rs_split_chunk(code, chunk, key, self.k_symbols)
-        engine = get_rs_engine(code, self.backend, device_bits=self.device_bits)
-
-        def read_original(rows, index):
-            return words[rows, index].astype(np.uint64)
-
-        def branch_batch(rows, index, space):
-            branch_words = np.repeat(words[rows], space, axis=0)
-            values = np.tile(np.arange(space, dtype=np.uint64), rows.size)
-            branch_words[:, index] = values.astype(np.uint32)
-            return branch_words, values
-
-        return self._branch_tally(
-            code.symbol_widths,
-            last,
-            lambda batch: engine.decode_batch(batch).statuses,
-            read_original,
-            branch_batch,
-        )
-
-    def _task_spec(self) -> "RsSplitSpec":
-        return RsSplitSpec(
-            code=checked_code_ref(self.code_ref, self.code, rs_signature),
-            k_symbols=self.k_symbols,
-            device_bits=self.device_bits,
-            backend=self.backend,
-        )
-
 
 @dataclass(frozen=True)
-class MuseSplitSpec:
+class MuseSplitSpec(RunnerSpec):
     """Rebuild a :class:`MuseSplittingEstimator` inside a worker."""
+
+    runner = "repro.reliability.sampling.splitting:MuseSplittingEstimator"
 
     code: CodeRef
     k_symbols: int = 2
     ripple_check: bool = True
     backend: str = "auto"
 
-    def build(self) -> MuseSplittingEstimator:
-        return MuseSplittingEstimator(
-            self.code.build(),
-            k_symbols=self.k_symbols,
-            ripple_check=self.ripple_check,
-            backend=self.backend,
-        )
-
 
 @dataclass(frozen=True)
-class RsSplitSpec:
+class RsSplitSpec(RunnerSpec):
     """Rebuild an :class:`RsSplittingEstimator` inside a worker."""
+
+    runner = "repro.reliability.sampling.splitting:RsSplittingEstimator"
 
     code: CodeRef
     k_symbols: int = 2
     device_bits: int | None = 4
     backend: str = "auto"
-
-    def build(self) -> RsSplittingEstimator:
-        return RsSplittingEstimator(
-            self.code.build(),
-            k_symbols=self.k_symbols,
-            device_bits=self.device_bits,
-            backend=self.backend,
-        )

@@ -78,9 +78,11 @@ class BatchSymbolView:
     (scenarios key their draws off it, which is what makes them
     split-invariant); ``read(rows, index)`` returns the current uint64
     values of symbol ``index`` for the given row indices and
-    ``write(rows, index, values)`` stores them back.  Constructed by
-    the chunk drivers in :mod:`repro.orchestrate.corruption` for both
-    code families, so one scenario implementation serves MUSE and RS.
+    ``write(rows, index, values)`` stores them back.  Each code family
+    builds one over its batch storage (``batch_view`` of
+    :class:`repro.orchestrate.family.CodeFamily`), so one scenario
+    implementation serves MUSE and RS — and the MSED generators and
+    the splitting estimator edit words through the same views.
     """
 
     trials: "object"
@@ -112,7 +114,7 @@ class Scenario:
     a scenario may ignore — e.g. row failure corrupts every symbol).
     ``None`` marks the built-in ``"msed"`` scenario, whose generators
     predate the registry and live on the base key's streams
-    (:func:`repro.orchestrate.corruption.muse_corruption_chunk`).
+    (:func:`repro.orchestrate.corruption.corruption_chunk`).
 
     ``supports_splitting`` gates the campaign scheduler's zero-event
     escalation: only scenarios sharing the plain MSED prefix stream can

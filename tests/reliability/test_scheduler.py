@@ -255,6 +255,58 @@ class TestEscalation:
         assert not outcome.escalated
         assert outcome.trials_used == self.ZERO_EVENT.max_trials
 
+    #: A silent-rate target no plain stream can meet: every zero-event
+    #: point escalates at 2000 trials.
+    UNREACHABLE = CampaignPolicy(
+        AdaptivePolicy(metric="silent", ci_target=1e-9, max_trials=4_000),
+        escalate_after=2_000,
+        escalation_trials=300,
+    )
+
+    @pytest.mark.parametrize("device_bits", [None, 4])
+    def test_rs_tail_bound_keeps_the_points_device_policy(self, device_bits):
+        """The splitting twin decodes under the point's own policy: a
+        disabled device policy is a different decoder, never x4."""
+        from repro.reliability.monte_carlo import rs_design_point
+        from repro.reliability.sampling.splitting import RsSplittingEstimator
+
+        code = rs_design_point(0)
+        simulator = RsMsedSimulator(code, device_bits=device_bits)
+        (outcome,) = CampaignRunner(self.UNREACHABLE).run([simulator], seed=3)
+        assert outcome.escalated
+        assert outcome.escalation == "importance splitting"
+        expected = RsSplittingEstimator(code, device_bits=device_bits).run(
+            300, seed=3
+        )
+        assert outcome.tail_bound == expected
+        if device_bits is None:
+            assert expected.strata == ((8, 300, 0, 0, 4800, 76800),)
+
+    def test_single_symbol_point_gets_a_clopper_pearson_bound(self):
+        """k=1 has no prefix to split: the tail is bounded from the
+        plain stream instead of being labelled splitting with no bound."""
+        simulator = MuseMsedSimulator(muse_80_69(), k_symbols=1)
+        (outcome,) = CampaignRunner(self.UNREACHABLE).run([simulator], seed=3)
+        assert outcome.escalated
+        assert outcome.escalation == "Clopper-Pearson tail bound"
+        assert outcome.tail_bound == outcome.result.interval(
+            kind="clopper-pearson",
+            confidence=self.UNREACHABLE.base.confidence,
+            metric="silent",
+        )
+
+    def test_splitting_errors_surface(self, monkeypatch):
+        """A failing tail estimator is a bug to report, not a point to
+        leave without a bound."""
+        from repro.reliability.sampling import splitting
+
+        def broken(self, *args, **kwargs):
+            raise RuntimeError("estimator failed")
+
+        monkeypatch.setattr(splitting.MuseSplittingEstimator, "run", broken)
+        with pytest.raises(RuntimeError, match="estimator failed"):
+            CampaignRunner(self.UNREACHABLE).run([_muse()], seed=3)
+
 
 class TestResultCache:
     def test_warm_rerun_executes_zero_new_trials(self, tmp_path):

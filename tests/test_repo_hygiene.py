@@ -46,3 +46,17 @@ def test_gitignore_blocks_pycache_everywhere():
     text = (REPO_ROOT / ".gitignore").read_text()
     assert "__pycache__/" in text
     assert "src/**/__pycache__/" in text  # belt and braces for src
+
+
+def test_no_benchmark_output_tracked():
+    """Benches rewrite their ``benchmarks/BENCH_*.json`` on every tier-1
+    run; tracked, they would dirty the tree each time."""
+    offenders = [
+        path
+        for path in tracked_files()
+        if path.startswith("benchmarks/BENCH_") and path.endswith(".json")
+    ]
+    assert not offenders, (
+        f"benchmark outputs are tracked: {offenders}; "
+        f"git rm --cached them and list them in .gitignore"
+    )
