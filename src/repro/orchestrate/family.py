@@ -61,9 +61,6 @@ class CodeFamily:
     name: str
     policy: str
 
-    def __repr__(self) -> str:
-        return f"<code family {self.name}>"
-
 
 class _MuseFamily(CodeFamily):
     name = "muse"
