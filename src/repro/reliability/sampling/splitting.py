@@ -67,6 +67,7 @@ __all__ = [
     "RsSplittingEstimator",
     "SplitResult",
     "SplitTally",
+    "SplittingEstimator",
 ]
 
 #: Branching multiplies per-chunk memory by up to ``2^w`` (256 for
