@@ -175,7 +175,7 @@ def split_chunk(code, chunk: Chunk, key: int, k_symbols: int = 2):
 # ----------------------------------------------------------------------
 #
 # A registered scenario supplies corrupt_batch/corrupt_word callables
-# over symbol views; the drivers here bind those views to the code
+# over symbol views; the generators below bind those views to the code
 # family's storage.  The clean words stay on the base key's DATA stream
 # — shared across scenarios — while every corruption draw comes from
 # the per-scenario stream key, so the scalar and batch paths of one
