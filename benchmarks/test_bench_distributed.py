@@ -19,21 +19,11 @@ import os
 import time
 from pathlib import Path
 
-import pytest
-
 from artifacts import merge_artifact
 from repro.distribute import DistributedSession
 from repro.engine import resolve_backend
 from repro.reliability.monte_carlo import build_table_iv
 
-try:
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover
-    HAVE_NUMPY = False
-
-requires_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
 
 ARTIFACT = Path(__file__).parent / "BENCH_distributed.json"
 
@@ -45,7 +35,6 @@ SEED = 2022
 CHUNK_SIZE = 4_096
 
 
-@requires_numpy
 def test_distributed_table_iv_parity_and_scaling():
     build_table_iv(trials=200, seed=SEED)  # warm caches (searches, engines)
 

@@ -56,26 +56,16 @@ MONTE_CARLO_DEFAULT_TRIALS = {
     "ablation-frontier": ablation_frontier.DEFAULT_TRIALS,
     "extension-double-device": extension_double_device.DEFAULT_TRIALS,
 }
-MONTE_CARLO_EXPERIMENTS = tuple(MONTE_CARLO_DEFAULT_TRIALS)
 
-#: The MSED experiments that accept the sequential adaptive-sampling
-#: mode (--adaptive/--ci-target/--max-trials).  extension-double-device
-#: tallies erasure recoveries, not MSED rates, so it stays fixed-budget.
-ADAPTIVE_EXPERIMENTS = ("table4", "ablation-shuffle", "ablation-frontier")
-
-#: The experiments whose chunk grids can fan over a coordinator/worker
-#: session (--distribute/--checkpoint-dir/--resume); their MsedTally
-#: specs are wire-registered for the JSON transport.
-DISTRIBUTED_EXPERIMENTS = ("table4", "ablation-shuffle", "ablation-frontier")
-
-#: The experiments that accept --scenario (a registered fault scenario
-#: swapped in for the default transient msed stream).
-SCENARIO_EXPERIMENTS = ("table4", "ablation-shuffle", "ablation-frontier")
-
-#: The experiments that accept --telemetry-dir (their mains wrap the
-#: run in a telemetry session); the coordinator/worker subcommands and
-#: the 'all' sweep thread it through as well.
-TELEMETRY_EXPERIMENTS = ("table4", "ablation-shuffle", "ablation-frontier")
+#: The MSED experiments that run on the campaign round loop, and so
+#: accept everything it offers: adaptive sampling (--adaptive/
+#: --ci-target/--max-trials/--trial-budget), a coordinator/worker
+#: session (--distribute/--checkpoint-dir/--resume; their MsedTally
+#: specs are wire-registered), the result cache (--cache-dir), fault
+#: scenarios (--scenario) and telemetry (--telemetry-dir).
+#: extension-double-device tallies erasure recoveries, not MSED rates,
+#: so it stays on the plain fixed-budget shard runner.
+MONTE_CARLO_EXPERIMENTS = ("table4", "ablation-shuffle", "ablation-frontier")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -179,10 +169,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-dir", default=None,
         help=(
             "cross-run result cache keyed by (seed stream, spec "
-            "fingerprint): chunks computed by any earlier run fold "
-            "straight from disk with zero new trials (requires "
-            "--adaptive or --distribute; backend-portable, since all "
-            "backends tally byte-identically)"
+            "fingerprint): chunks computed by any earlier run, fixed "
+            "or --adaptive, fold straight from disk with zero new "
+            "trials (backend-portable, since all backends tally "
+            "byte-identically)"
         ),
     )
     from repro.scenarios import scenario_names
@@ -302,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="(worker) coordinator address to pull chunk tasks from",
     )
     parser.add_argument(
-        "--run", default=None, choices=DISTRIBUTED_EXPERIMENTS,
+        "--run", default=None, choices=MONTE_CARLO_EXPERIMENTS,
         help="(coordinator) which experiment to serve",
     )
     parser.add_argument(
@@ -339,7 +329,7 @@ def experiment_kwargs(args: argparse.Namespace) -> dict[str, dict]:
             kw["seed"] = args.seed
         if args.chunk_size is not None:
             kw["chunk_size"] = args.chunk_size
-        if name in DISTRIBUTED_EXPERIMENTS:
+        if name in MONTE_CARLO_EXPERIMENTS:
             if args.distribute is not None:
                 kw["distribute"] = args.distribute
                 if args.checkpoint_dir is not None:
@@ -354,39 +344,36 @@ def experiment_kwargs(args: argparse.Namespace) -> dict[str, dict]:
                         kw["resume"] = True
             if args.progress:
                 kw["progress"] = True
-        if args.scenario is not None and name in SCENARIO_EXPERIMENTS:
-            kw["scenario"] = args.scenario
-        if args.telemetry_dir is not None and name in TELEMETRY_EXPERIMENTS:
-            # Like --checkpoint-dir: an 'all' sweep gives each
-            # experiment its own run directory so two event logs can
-            # never interleave.
-            kw["telemetry_dir"] = (
-                os.path.join(args.telemetry_dir, name)
-                if args.experiment == "all"
-                else args.telemetry_dir
-            )
-        if args.adaptive and name in ADAPTIVE_EXPERIMENTS:
-            kw["adaptive"] = True
-            if args.ci_target is not None:
-                kw["ci_target"] = args.ci_target
-            if args.max_trials is not None:
-                kw["max_trials"] = args.max_trials
-            elif args.quick:
-                # A preview must stay a preview: without an explicit
-                # ceiling, cap the adaptive run at the quick budget
-                # instead of the 10^6-trial default.
-                kw["max_trials"] = kw["trials"]
-            if args.trial_budget is not None:
-                kw["trial_budget"] = args.trial_budget
-        if args.cache_dir is not None and (
-            (args.adaptive and name in ADAPTIVE_EXPERIMENTS)
-            or (args.distribute is not None and name in DISTRIBUTED_EXPERIMENTS)
-        ):
-            # One shared directory is safe (and useful) across
-            # experiments: cells are keyed by (stream key, spec
-            # fingerprint), so different experiments can never collide
-            # but identical design points are shared.
-            kw["cache_dir"] = args.cache_dir
+            if args.scenario is not None:
+                kw["scenario"] = args.scenario
+            if args.telemetry_dir is not None:
+                # Like --checkpoint-dir: an 'all' sweep gives each
+                # experiment its own run directory so two event logs can
+                # never interleave.
+                kw["telemetry_dir"] = (
+                    os.path.join(args.telemetry_dir, name)
+                    if args.experiment == "all"
+                    else args.telemetry_dir
+                )
+            if args.adaptive:
+                kw["adaptive"] = True
+                if args.ci_target is not None:
+                    kw["ci_target"] = args.ci_target
+                if args.max_trials is not None:
+                    kw["max_trials"] = args.max_trials
+                elif args.quick:
+                    # A preview must stay a preview: without an explicit
+                    # ceiling, cap the adaptive run at the quick budget
+                    # instead of the 10^6-trial default.
+                    kw["max_trials"] = kw["trials"]
+                if args.trial_budget is not None:
+                    kw["trial_budget"] = args.trial_budget
+            if args.cache_dir is not None:
+                # One shared directory is safe (and useful) across
+                # experiments: cells are keyed by (stream key, spec
+                # fingerprint), so different experiments can never collide
+                # but identical design points are shared.
+                kw["cache_dir"] = args.cache_dir
         return kw
 
     trace = {"mem_ops": mem_ops}
@@ -466,11 +453,11 @@ def run(args: argparse.Namespace) -> int:
         )
         return 2
     if args.distribute is not None and args.experiment not in (
-        DISTRIBUTED_EXPERIMENTS + ("all",)
+        MONTE_CARLO_EXPERIMENTS + ("all",)
     ):
         print(
             f"error: --distribute applies to "
-            f"{', '.join(DISTRIBUTED_EXPERIMENTS)} (or 'all'), "
+            f"{', '.join(MONTE_CARLO_EXPERIMENTS)} (or 'all'), "
             f"not {args.experiment}",
             file=sys.stderr,
         )
@@ -493,14 +480,14 @@ def run(args: argparse.Namespace) -> int:
         )
         return 2
     if args.scenario is not None and args.experiment not in (
-        SCENARIO_EXPERIMENTS + ("all",)
+        MONTE_CARLO_EXPERIMENTS + ("all",)
     ):
         # Same flag-dropping class as --progress/--adaptive: a scenario
         # on an experiment without a Monte-Carlo corruption stream
         # would silently run the default model.
         print(
             f"error: --scenario applies to "
-            f"{', '.join(SCENARIO_EXPERIMENTS)} (or 'all'), "
+            f"{', '.join(MONTE_CARLO_EXPERIMENTS)} (or 'all'), "
             f"not {args.experiment}",
             file=sys.stderr,
         )
@@ -524,13 +511,13 @@ def run(args: argparse.Namespace) -> int:
         # the guards pass so a refused invocation leaves no trace.
         os.environ[CHAOS_ENV] = args.chaos
     if args.progress and args.experiment not in (
-        DISTRIBUTED_EXPERIMENTS + ("all",)
+        MONTE_CARLO_EXPERIMENTS + ("all",)
     ):
         # Same flag-dropping class as the extension --trials regression:
         # refuse rather than silently showing no heartbeat.
         print(
             f"error: --progress applies to "
-            f"{', '.join(DISTRIBUTED_EXPERIMENTS)} (or 'all'), "
+            f"{', '.join(MONTE_CARLO_EXPERIMENTS)} (or 'all'), "
             f"not {args.experiment}",
             file=sys.stderr,
         )
@@ -548,9 +535,12 @@ def run(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.adaptive and args.experiment not in ADAPTIVE_EXPERIMENTS + ("all",):
+    if args.adaptive and args.experiment not in (
+        MONTE_CARLO_EXPERIMENTS + ("all",)
+    ):
         print(
-            f"error: --adaptive applies to {', '.join(ADAPTIVE_EXPERIMENTS)} "
+            f"error: --adaptive applies to "
+            f"{', '.join(MONTE_CARLO_EXPERIMENTS)} "
             f"(or 'all'), not {args.experiment}",
             file=sys.stderr,
         )
@@ -588,25 +578,26 @@ def run(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.cache_dir is not None and not (
-        args.adaptive or args.distribute is not None
+    if args.cache_dir is not None and args.experiment not in (
+        MONTE_CARLO_EXPERIMENTS + ("all",)
     ):
-        # The cache is wired through the campaign runner and the
-        # coordinator; a plain fixed-budget in-process run never
-        # consults it, so refuse rather than silently not caching.
+        # Only the campaign round loop consults the cache; refuse
+        # rather than silently not caching.
         print(
-            "error: --cache-dir requires --adaptive or --distribute",
+            f"error: --cache-dir applies to "
+            f"{', '.join(MONTE_CARLO_EXPERIMENTS)} (or 'all'), "
+            f"not {args.experiment}",
             file=sys.stderr,
         )
         return 2
     if args.telemetry_dir is not None and args.experiment not in (
-        TELEMETRY_EXPERIMENTS + ("all",)
+        MONTE_CARLO_EXPERIMENTS + ("all",)
     ):
         # Same flag-dropping class as --progress: a telemetry dir on
         # an uninstrumented experiment would silently record nothing.
         print(
             f"error: --telemetry-dir applies to "
-            f"{', '.join(TELEMETRY_EXPERIMENTS)} (or 'all', or the "
+            f"{', '.join(MONTE_CARLO_EXPERIMENTS)} (or 'all', or the "
             f"worker/coordinator subcommands), not {args.experiment}",
             file=sys.stderr,
         )
@@ -673,7 +664,7 @@ def run(args: argparse.Namespace) -> int:
         return 0
 
     call_kwargs = kwargs[args.experiment]
-    if args.experiment in MONTE_CARLO_EXPERIMENTS:
+    if args.experiment in MONTE_CARLO_DEFAULT_TRIALS:
         call_kwargs["jobs"] = args.jobs
     from repro.distribute import DistributedDegraded, DistributedInterrupted
 

@@ -15,7 +15,7 @@ JSON-line socket protocol and folds the returned tallies exactly once:
 * :mod:`~repro.distribute.coordinator` — :class:`DistributedSession`,
   the server + batch fold API (``run_tasks``) that plugs into
   :func:`repro.orchestrate.pool.run_sharded` as an ``executor`` and
-  serves as the adaptive runner's round barrier;
+  serves as the campaign round loop's barrier;
 * :mod:`~repro.distribute.worker` / :mod:`~repro.distribute.local` —
   the ``repro-muse worker --connect`` pull loop and the loopback
   ``--distribute local:N`` subprocess fleet;
@@ -197,9 +197,11 @@ def execution_context(
     single-host :class:`ChunkProgress` printer.  Checkpoints belong to
     the coordinator, so ``checkpoint_dir`` without ``distribute``
     refuses loudly instead of silently not journaling.  ``cache_dir``
-    rides with the session here; in-process runs attach their cache in
-    the campaign runner instead (see
-    :func:`repro.reliability.monte_carlo.run_design_points_adaptive`).
+    rides with the session here; in-process runs, fixed or adaptive,
+    attach their cache to the campaign round loop instead (see
+    :func:`repro.reliability.monte_carlo.run_design_points_adaptive`,
+    which drops it when an executor is set), so experiments pass the
+    same ``cache_dir`` to both.
     """
     if distribute is None:
         if checkpoint_dir is not None:

@@ -15,9 +15,9 @@ One :class:`DistributedSession` owns the whole distributed run:
   being queued;
 * the **round barrier**: :meth:`run_tasks` is a batch call — submit,
   wait for every fold, return ``{group: tally}`` — which is exactly the
-  synchronisation point the adaptive runner needs: the coordinator
-  process evaluates the stopping policy between batches and decides
-  continue/stop per look.
+  synchronisation point the campaign round loop needs: the coordinator
+  process evaluates the stopping policy between batches and allocates
+  the next round (a fixed-trial run is a single batch).
 
 Workers survive across batches: between rounds they poll and are told
 to idle, so an adaptive run pays connection setup once.

@@ -65,8 +65,8 @@ def frontier(
     cache_dir: str | None = None,
     scenario: str = "msed",
 ) -> list[FrontierPoint]:
-    # One run_design_points call = one shared pool for all 12 runs
-    # (full + ablated per point), not a pool spin-up per design point.
+    # One campaign for all 12 runs (full + ablated per point): one
+    # shared pool per round, not a pool spin-up per design point.
     codes = []
     simulators = []
     for extra_bits in range(0, 6):
@@ -269,19 +269,18 @@ def main(
         progress=progress,
         cache_dir=cache_dir,
     ) as (executor, progress_cb):
-        local_cache = cache_dir if executor is None else None
         report = render(
             frontier(
                 trials, seed, backend=backend, jobs=jobs,
                 chunk_size=chunk_size, adaptive=policy, executor=executor,
                 progress_cb=progress_cb, trial_budget=trial_budget,
-                cache_dir=local_cache, scenario=scenario,
+                cache_dir=cache_dir, scenario=scenario,
             ),
             k_sweep(
                 trials, seed, backend=backend, jobs=jobs,
                 chunk_size=chunk_size, adaptive=policy, executor=executor,
                 progress_cb=progress_cb, trial_budget=trial_budget,
-                cache_dir=local_cache, scenario=scenario,
+                cache_dir=cache_dir, scenario=scenario,
             ),
         )
     if scenario != "msed":

@@ -234,7 +234,7 @@ def main(
             executor=executor,
             progress_cb=progress_cb,
             trial_budget=trial_budget,
-            cache_dir=cache_dir if executor is None else None,
+            cache_dir=cache_dir,
             scenario=scenario,
         )
     report = "\n\n".join([render(sweep()), render_msed(rows)])

@@ -4,9 +4,10 @@ Runs the Monte-Carlo design-point sweep (10,000 trials per point, as in
 the paper) and prints measured-vs-paper for every cell — every measured
 rate carrying a 95% confidence interval and its trial count, never a
 bare point estimate.  ``adaptive=True`` switches from the fixed budget
-to the sequential sampler: each point runs until its failure-rate CI is
-tight (``ci_target`` relative half-width) or ``max_trials`` is hit, and
-the report shows what each cell actually spent.
+to a multi-round campaign: each round's trials go to the points whose
+failure-rate CI is furthest from tight (``ci_target`` relative
+half-width), a point stops once its CI is tight or ``max_trials`` is
+hit, and the report shows what each cell actually spent.
 """
 
 from __future__ import annotations
@@ -124,7 +125,6 @@ def details(table: TableIV) -> dict:
             "kind": policy.kind,
             "metric": policy.metric,
             "initial_trials": policy.initial_trials,
-            "growth": policy.growth,
             "max_trials": policy.max_trials,
         }
     return summary
@@ -159,10 +159,11 @@ def build(
     session (``local:N`` or ``listen:PORT``); ``checkpoint_dir`` /
     ``resume`` journal and replay completed chunks; ``progress`` prints
     heartbeats to stderr.  ``trial_budget`` caps the adaptive
-    campaign's total spend; ``cache_dir`` folds already-computed cells
-    straight from the cross-run result cache.  ``telemetry_dir``
-    records the run's event log, metrics and manifest there.  None of
-    them changes the tallies of the trials that do run.  ``scenario``
+    campaign's total spend; ``cache_dir`` folds already-computed cells,
+    fixed or adaptive, straight from the cross-run result cache.
+    ``telemetry_dir`` records the run's event log, metrics and manifest
+    there.  None of them changes the tallies of the trials that do
+    run.  ``scenario``
     swaps the injected corruption stream for any registered fault
     scenario (:mod:`repro.scenarios`).
     """
@@ -205,7 +206,7 @@ def build(
                 adaptive=policy,
                 executor=executor,
                 trial_budget=trial_budget,
-                cache_dir=cache_dir if executor is None else None,
+                cache_dir=cache_dir,
                 scenario=scenario,
             )
         if tel is not None:

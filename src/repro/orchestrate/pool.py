@@ -1,8 +1,16 @@
 """The shard runner: fan chunk tasks over a process pool, fold tallies.
 
-``run_sharded(tasks, jobs)`` executes every :class:`ChunkTask` — in
-process for ``jobs <= 1``, across a :class:`ProcessPoolExecutor`
-otherwise — and folds each task's tally into its group via ``merge``.
+:func:`map_unordered` is the one serial-or-pool fan-out: it runs a
+function over tasks — in process for ``jobs <= 1``, across a
+:class:`ProcessPoolExecutor` otherwise — and hands each result back to
+the parent as it completes.  The campaign round loop
+(:class:`~repro.reliability.sampling.scheduler.CampaignRunner`, which
+every Table IV-style run goes through) dispatches its uncached chunks
+with it directly, so it can fold, cache and report each chunk as it
+lands.  ``run_sharded(tasks, jobs)`` is the plain fold on top: it
+executes every :class:`ChunkTask` and folds each task's tally into its
+group via ``merge``.
+
 Because every tally merge is plain integer addition (associative and
 commutative) and every chunk's content is a pure function of
 ``(spec, chunk, key)``, the folded result is byte-identical whichever
@@ -37,16 +45,17 @@ def map_unordered(
     tasks: Iterable[Any],
     jobs: int = 1,
     progress: ProgressCallback | None = None,
-    on_result: Callable[[Any], None] | None = None,
+    on_result: Callable[[Any, Any], None] | None = None,
 ) -> None:
     """The one serial-or-pool fan-out skeleton every sweep shares.
 
     Runs ``fn`` over every task — in process for ``jobs <= 1``, across
     a :class:`ProcessPoolExecutor` otherwise (``fn`` and the tasks must
-    then be picklable).  ``on_result(result)`` and
+    then be picklable).  ``on_result(task, result)`` and
     ``progress(done, total)`` both fire on the parent as each task
     completes, in completion order; callers needing a deterministic
-    result order fold commutatively or reorder afterwards.
+    result order fold commutatively or reorder afterwards.  The task
+    handed back is the parent's own object, never a pickled copy.
     """
     task_list: Sequence[Any] = list(tasks)
     total = len(task_list)
@@ -54,17 +63,17 @@ def map_unordered(
         for done, task in enumerate(task_list, start=1):
             result = fn(task)
             if on_result is not None:
-                on_result(result)
+                on_result(task, result)
             if progress is not None:
                 progress(done, total)
         return
     with ProcessPoolExecutor(max_workers=min(jobs, total)) as executor:
-        futures = [executor.submit(fn, task) for task in task_list]
+        futures = {executor.submit(fn, task): task for task in task_list}
         try:
             for done, future in enumerate(as_completed(futures), start=1):
                 result = future.result()
                 if on_result is not None:
-                    on_result(result)
+                    on_result(futures[future], result)
                 if progress is not None:
                     progress(done, total)
         except BaseException:
@@ -99,6 +108,6 @@ def run_sharded(
         tasks,
         jobs,
         progress,
-        lambda pair: _fold(results, *pair),
+        lambda _task, pair: _fold(results, *pair),
     )
     return results

@@ -178,7 +178,7 @@ def run_all(
 
     finished: dict[str, SweepOutcome] = {}
 
-    def completed(outcome: SweepOutcome) -> None:
+    def completed(_task: ExperimentTask, outcome: SweepOutcome) -> None:
         finished[outcome.name] = outcome
         if directory is not None:
             _write_report(directory, outcome)

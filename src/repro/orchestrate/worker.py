@@ -173,7 +173,8 @@ class ChunkTask:
     """One shard: run ``spec``'s chunk ``chunk`` of stream ``key``.
 
     ``group`` labels which logical run (design point, experiment row)
-    the resulting tally folds into.
+    the resulting tally folds into.  A task that stays in process may
+    carry the live runner itself as ``spec``.
     """
 
     group: Any
@@ -189,6 +190,10 @@ _RUNNERS: dict[Any, Any] = {}
 
 
 def runner_for(spec: Any) -> Any:
+    if hasattr(spec, "run_chunk"):
+        # An in-process task may carry its live runner instead of a
+        # recipe; it never crosses a process boundary.
+        return spec
     runner = _RUNNERS.get(spec)
     if runner is None:
         runner = spec.build()

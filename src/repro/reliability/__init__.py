@@ -6,9 +6,10 @@
   fixed-budget or adaptive.
 * :class:`MsedResult` — detected / miscorrected / silent accounting,
   every rate with a Wilson / Clopper-Pearson interval.
-* :mod:`~repro.reliability.sampling` — adaptive sequential stopping
-  (:class:`AdaptivePolicy` / :class:`AdaptiveRunner`) and importance
-  splitting for the silent / miscorrection tails.
+* :mod:`~repro.reliability.sampling` — the stopping rule
+  (:class:`AdaptivePolicy`), the campaign round loop every run goes
+  through, and importance splitting for the silent / miscorrection
+  tails.
 """
 
 from repro.reliability.analytic import (
@@ -34,9 +35,7 @@ from repro.reliability.monte_carlo import (
     run_design_points_with_outcomes,
 )
 from repro.reliability.sampling import (
-    AdaptiveOutcome,
     AdaptivePolicy,
-    AdaptiveRunner,
     Interval,
     MuseSplittingEstimator,
     RsSplittingEstimator,
@@ -47,9 +46,7 @@ from repro.reliability.sampling import (
 )
 
 __all__ = [
-    "AdaptiveOutcome",
     "AdaptivePolicy",
-    "AdaptiveRunner",
     "AnalyticMsed",
     "DesignPoint",
     "Interval",

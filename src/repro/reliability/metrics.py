@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from repro.reliability.sampling.intervals import Interval
-    from repro.reliability.sampling.sequential import AdaptiveOutcome
+    from repro.reliability.sampling.scheduler import CampaignOutcome
 
 
 @dataclass
@@ -207,7 +207,7 @@ class DesignPoint:
     note: str = ""
     #: Set when the point was run adaptively: convergence flag, rounds,
     #: and the policy the stopping decision used.
-    sampling: "AdaptiveOutcome | None" = None
+    sampling: "CampaignOutcome | None" = None
 
 
 @dataclass

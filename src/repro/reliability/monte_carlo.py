@@ -27,9 +27,13 @@ Execution is *streamed*: a run is split into fixed-size chunks
 (:mod:`repro.orchestrate.plan`) whose corruption streams are counter
 hashes of the global trial index, so every chunk's tally is a pure
 fold term and memory stays flat however many trials the run totals.
-``run(..., jobs=N)`` fans the chunks over a process pool; for a fixed
-master seed the folded tally is byte-identical for every
-``(chunk_size, jobs)`` combination and across decode backends.
+Every run — fixed or adaptive, in process, pooled (``jobs=N``) or
+distributed — goes through the one campaign round loop
+(:class:`~repro.reliability.sampling.scheduler.CampaignRunner`); a
+fixed ``T``-trial run is the one-round campaign of
+:func:`fixed_policy`.  For a fixed master seed the folded tally is
+byte-identical for every ``(chunk_size, jobs)`` combination and across
+decode backends.
 """
 
 from __future__ import annotations
@@ -38,24 +42,15 @@ import dataclasses
 from dataclasses import dataclass
 from functools import lru_cache
 
-from repro import telemetry
 from repro.core.codec import MuseCode
 from repro.core.error_model import SymbolErrorModel
 from repro.core.search import MultiplierSearch
 from repro.core.symbols import SymbolLayout
 from repro.orchestrate.corruption import scenario_chunk
 from repro.orchestrate.family import family_of
-from repro.orchestrate.plan import Chunk, plan_chunks
-from repro.orchestrate.pool import ProgressCallback, run_sharded
-from repro.orchestrate.rng import derive_key
-from repro.orchestrate.worker import (
-    ChunkTask,
-    CodeRef,
-    MuseSimSpec,
-    RsSimSpec,
-    group_labels,
-    task_spec,
-)
+from repro.orchestrate.plan import Chunk
+from repro.orchestrate.pool import ProgressCallback
+from repro.orchestrate.worker import CodeRef, MuseSimSpec, RsSimSpec, task_spec
 from repro.reliability.metrics import (
     DesignPoint,
     MsedResult,
@@ -67,11 +62,7 @@ from repro.reliability.sampling.scheduler import (
     CampaignPolicy,
     CampaignRunner,
 )
-from repro.reliability.sampling.sequential import (
-    AdaptiveOutcome,
-    AdaptivePolicy,
-    AdaptiveRunner,
-)
+from repro.reliability.sampling.sequential import AdaptivePolicy
 from repro.rs.chipkill import assess
 from repro.rs.reed_solomon import RSCode, rs_for_channel
 from repro.scenarios import resolve_scenario
@@ -104,25 +95,6 @@ class MsedSimulator:
         return run_design_points(
             [self], trials, seed, jobs, chunk_size, progress, executor
         )[0]
-
-    def run_adaptive(
-        self,
-        policy: AdaptivePolicy | None = None,
-        seed: int = 2022,
-        *,
-        jobs: int = 1,
-        chunk_size: int | None = None,
-        progress: ProgressCallback | None = None,
-        executor=None,
-    ) -> AdaptiveOutcome:
-        """Grow this simulator's trial stream until ``policy`` is met.
-
-        The returned outcome's tally is the byte-identical prefix of
-        the fixed-trial stream at the same seed (see
-        :mod:`repro.reliability.sampling.sequential`).
-        """
-        runner = AdaptiveRunner(policy if policy is not None else AdaptivePolicy())
-        return runner.run_one(self, seed, jobs, chunk_size, progress, executor)
 
     def run_chunk(self, chunk: Chunk, key: int) -> MsedTally:
         """Classify one chunk of the stream keyed by ``key``.
@@ -179,8 +151,9 @@ class MuseMsedSimulator(MsedSimulator):
     ``ripple_check`` is the decode policy: correction ripple
     (overflow/underflow) detects.  ``code_ref`` (a
     :class:`~repro.orchestrate.worker.CodeRef` or a ``"module:callable"``
-    string) is only needed for ``jobs > 1``: it lets worker processes
-    rebuild the code instead of pickling it.
+    string) is only needed for ``jobs > 1``, distributed runs and the
+    result cache: it lets worker processes rebuild the code instead of
+    pickling it, and names the code in cache keys.
     """
 
     code: MuseCode
@@ -280,6 +253,18 @@ def rs_design_point(extra_bits: int) -> RSCode:
 _SELF = "repro.reliability.monte_carlo"
 
 
+def fixed_policy(trials: int) -> AdaptivePolicy:
+    """The policy that makes a fixed ``trials``-trial run a campaign.
+
+    No tolerance is ever met, so the first round grants every point
+    exactly ``trials`` trials, in index order, and the ceiling ends
+    the campaign there.
+    """
+    return AdaptivePolicy(
+        ci_target=0, ci_abs=0, initial_trials=trials, max_trials=trials
+    )
+
+
 def run_design_points(
     simulators: "list[MsedSimulator]",
     trials: int,
@@ -290,48 +275,20 @@ def run_design_points(
     executor=None,
     group_ns: str | None = None,
 ) -> list[MsedResult]:
-    """Run every simulator over the same chunk plan and master seed.
+    """Run every simulator for ``trials`` trials at one master seed.
 
-    ``jobs > 1`` fans the full design-points x chunks grid over **one**
-    process pool (no per-point barriers, one worker spin-up for the
-    whole grid); ``jobs = 1`` streams the same chunks in process.
-    ``executor`` (a :class:`repro.distribute.DistributedSession`)
-    replaces the pool with remote workers pulling from the
-    coordinator's queue.  Every path folds the identical chunk tallies,
-    so results are positionally aligned with ``simulators`` and
+    A one-round campaign (:func:`fixed_policy`): ``jobs > 1`` fans the
+    full design-points x chunks grid over **one** process pool (no
+    per-point barriers), ``jobs = 1`` streams the same chunks in
+    process, and ``executor`` (a
+    :class:`repro.distribute.DistributedSession`) ships them to remote
+    workers.  Results are positionally aligned with ``simulators`` and
     independent of ``jobs``/``chunk_size``/transport.
     """
-    chunks = plan_chunks(trials, chunk_size)
-    key = derive_key(seed)
-    if jobs > 1 or executor is not None:
-        # One spec per simulator, hoisted out of the chunk loop: each
-        # _task_spec() rebuilds the code for its consistency check, and
-        # a large run has thousands of chunks per point.
-        specs = [simulator._task_spec() for simulator in simulators]
-        groups = group_labels(len(simulators), group_ns)
-        tasks = [
-            ChunkTask(groups[index], spec, chunk, key)
-            for index, spec in enumerate(specs)
-            for chunk in chunks
-        ]
-        folded = run_sharded(tasks, jobs, progress, executor)
-        return [
-            folded.get(group, MsedTally()).freeze() for group in groups
-        ]
-    results = []
-    groups = group_labels(len(simulators), group_ns)
-    total = len(simulators) * len(chunks)
-    done = 0
-    for index, simulator in enumerate(simulators):
-        tally = MsedTally()
-        for chunk in chunks:
-            with telemetry.span("decode_chunk", point=str(groups[index])):
-                tally.merge(simulator.run_chunk(chunk, key))
-            done += 1
-            if progress is not None:
-                progress(done, total)
-        results.append(tally.freeze())
-    return results
+    return run_design_points_with_outcomes(
+        simulators, trials, seed, jobs, chunk_size, progress,
+        executor=executor, group_ns=group_ns,
+    )[0]
 
 
 def run_design_points_adaptive(
@@ -346,19 +303,18 @@ def run_design_points_adaptive(
     trial_budget: int | None = None,
     cache_dir: str | None = None,
 ) -> list[CampaignOutcome]:
-    """Adaptive sibling of :func:`run_design_points`.
+    """Run every simulator as one campaign under ``policy``.
 
-    Every simulator consumes the same counter-hashed stream, but the
-    sweep is now scheduled as one *campaign*
+    Every simulator consumes the same counter-hashed stream, scheduled
+    as one *campaign*
     (:class:`~repro.reliability.sampling.scheduler.CampaignRunner`):
     each round spends the next batch of trials on the points furthest
     from the policy's CI target instead of finishing points one at a
     time, optionally under a campaign-wide ``trial_budget`` and backed
     by a ``cache_dir`` result cache.  Results are positionally aligned
-    with ``simulators`` and, like the fixed-budget runner, independent
-    of ``jobs``/``chunk_size``/backend at a fixed seed (including each
-    point's ``trials_used``) — allocation is a pure function of the
-    folded tallies.
+    with ``simulators`` and independent of ``jobs``/``chunk_size``/
+    backend at a fixed seed (including each point's ``trials_used``) —
+    allocation is a pure function of the folded tallies.
     """
     if isinstance(policy, CampaignPolicy):
         campaign = policy
@@ -405,20 +361,23 @@ def run_design_points_with_outcomes(
     Returns ``(results, outcomes)`` positionally aligned with
     ``simulators``; ``outcomes`` is all ``None`` for fixed-budget runs
     (``adaptive is None``), so callers render trial counts and
-    convergence flags from one shape.  ``trial_budget`` and
-    ``cache_dir`` only apply to adaptive (campaign) runs.
+    convergence flags from one shape.  Both kinds run as a campaign
+    (a fixed run as the one round of :func:`fixed_policy`) and honour
+    ``cache_dir``; ``trial_budget`` only applies to adaptive runs.
     """
-    if adaptive is not None:
-        outcomes = run_design_points_adaptive(
-            simulators, adaptive, seed, jobs, chunk_size, progress, executor,
-            group_ns, trial_budget, cache_dir,
+    fixed = adaptive is None
+    if fixed and trials == 0:
+        # A policy needs at least one trial: nothing to schedule.
+        return [MsedTally().freeze() for _ in simulators], [None] * len(
+            simulators
         )
-        return [outcome.result for outcome in outcomes], list(outcomes)
-    results = run_design_points(
-        simulators, trials, seed, jobs, chunk_size, progress, executor,
-        group_ns,
+    outcomes = run_design_points_adaptive(
+        simulators, fixed_policy(trials) if fixed else adaptive, seed, jobs,
+        chunk_size, progress, executor, group_ns,
+        None if fixed else trial_budget, cache_dir,
     )
-    return results, [None] * len(results)
+    results = [outcome.result for outcome in outcomes]
+    return results, [None] * len(results) if fixed else list(outcomes)
 
 
 def build_table_iv(

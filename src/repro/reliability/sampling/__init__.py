@@ -6,13 +6,9 @@ Four layers over the PR-3 streaming orchestrator:
   Clopper-Pearson binomial confidence intervals (stdlib-only), the
   error bars every reported rate now carries;
 * :mod:`~repro.reliability.sampling.sequential` —
-  :class:`AdaptiveRunner`: grow each design point's counter-hashed
-  trial stream through a geometric round schedule and stop at the
-  first round whose target-rate CI is tight enough
-  (:class:`AdaptivePolicy`) or at the trial ceiling.  The tally after
-  stopping is byte-identical to a fixed-trial run of the same length —
-  the prefix property — for every ``(chunk_size, jobs)`` split and
-  backend;
+  :class:`AdaptivePolicy`, the per-point stopping rule: a point is done
+  once its target-rate CI is tight enough or its trial ceiling is
+  spent;
 * :mod:`~repro.reliability.sampling.splitting` — importance splitting
   for the silent / miscorrection tails: sample corruption *prefixes*
   from the plain stream, branch the final corrupted symbol over all
@@ -20,13 +16,16 @@ Four layers over the PR-3 streaming orchestrator:
   unbiased, lower-variance rate estimate with real error bars even
   where the plain stream sees zero events;
 * :mod:`~repro.reliability.sampling.scheduler` —
-  :class:`CampaignRunner`: fleet-wide budget allocation across a whole
-  sweep.  Each round it spends the next batch of trials on the points
-  furthest from their CI target (priority = half-width / goal), honours
-  a campaign-wide trial budget, escalates zero-event cells to the
-  splitting estimator, and folds completed cells from the cross-run
-  result cache — while keeping every allocation a pure function of the
-  folded tallies, so ``trials_used`` stays byte-identical across
+  :class:`CampaignRunner`, the one round loop every Monte-Carlo sweep
+  runs through.  Each round it spends the next batch of trials on the
+  points furthest from their CI target (priority = half-width / goal),
+  honours a campaign-wide trial budget, escalates zero-event cells to
+  the splitting estimator, and folds completed cells from the
+  cross-run result cache; a fixed-trial run is its one-round case.
+  Every allocation is a pure function of the folded tallies, and each
+  round extends the same counter-hashed streams, so a point's tally is
+  byte-identical to a fixed run of ``trials_used`` trials (the prefix
+  property) and ``trials_used`` is identical across
   ``(chunk_size, jobs, workers)`` and backends.
 """
 
@@ -38,9 +37,7 @@ from repro.reliability.sampling.intervals import (
     wilson_interval,
 )
 from repro.reliability.sampling.sequential import (
-    AdaptiveOutcome,
     AdaptivePolicy,
-    AdaptiveRunner,
     policy_from_cli,
 )
 
@@ -62,9 +59,7 @@ from repro.reliability.sampling.splitting import (
 )
 
 __all__ = [
-    "AdaptiveOutcome",
     "AdaptivePolicy",
-    "AdaptiveRunner",
     "CampaignOutcome",
     "CampaignPolicy",
     "CampaignRunner",

@@ -1,12 +1,16 @@
-"""Fleet-wide campaign scheduling for adaptive Monte-Carlo sweeps.
+"""Fleet-wide campaign scheduling: the one Monte-Carlo round loop.
 
-The PR-4 :class:`~repro.reliability.sampling.sequential.AdaptiveRunner`
-stops each design point independently: every point follows its own
-geometric look schedule, so a sweep's wall-clock is the *sum* of
-per-point overshoots and already-converged points keep no context for
-their neighbours.  The campaign scheduler closes that loop.  Each
+Every design-point sweep runs through :class:`CampaignRunner`.  Each
 round it looks at the folded tallies of **all** points and spends the
-next batch of trials where they shrink confidence intervals fastest:
+next batch of trials where they shrink confidence intervals fastest,
+instead of finishing points one at a time on their own look schedules
+(which makes a sweep's cost the *sum* of per-point overshoots).  A
+fixed-trial run is the degenerate campaign: under
+``AdaptivePolicy(ci_target=0, ci_abs=0, initial_trials=T,
+max_trials=T)`` the first round grants every point its ``T`` trials in
+index order and nothing is left for a second.
+
+How a round is allocated:
 
 * the *priority* of a point is ``half_width / goal_half_width`` — how
   far its current interval is from the stopping rule of the base
@@ -24,6 +28,12 @@ next batch of trials where they shrink confidence intervals fastest:
   it plain trials and hands it to the importance-splitting estimator
   (:mod:`~repro.reliability.sampling.splitting`), which bounds the
   tail without needing events in the plain stream.
+
+Within a round, cache hits fold in place and every miss is one chunk
+task: a distributed executor's ``run_tasks`` runs them as the round
+barrier, and otherwise :func:`~repro.orchestrate.pool.map_unordered`
+runs them in process (``jobs <= 1``) or across a process pool, folding,
+caching and reporting progress once per chunk as each lands.
 
 Determinism contract (same as every other runner in this repo): the
 allocation is a **pure function of the folded tallies** — never of
@@ -50,7 +60,7 @@ from typing import Any, Callable, Sequence
 
 from repro import telemetry
 from repro.orchestrate.plan import plan_chunk_range
-from repro.orchestrate.pool import map_unordered, run_sharded
+from repro.orchestrate.pool import map_unordered
 from repro.orchestrate.rng import derive_key
 from repro.orchestrate.worker import ChunkTask, group_labels, run_chunk_task
 from repro.reliability.metrics import MsedResult, MsedTally
@@ -221,10 +231,10 @@ class CampaignScheduler:
 class CampaignOutcome:
     """What the campaign decided for one design point.
 
-    Duck-types :class:`AdaptiveOutcome` (``result``, ``converged``,
-    ``rounds``, ``policy``, ``trials_used``, ``interval()``,
-    ``describe()``) so every report renderer keeps working, and adds
-    the campaign-level story: the governing :class:`CampaignPolicy`,
+    Carries the per-point story every report renderer reads
+    (``result``, ``converged``, ``rounds``, the stopping ``policy``,
+    ``trials_used``, ``interval()``, ``describe()``) and the
+    campaign-level story: the governing :class:`CampaignPolicy`,
     whether the point was escalated to importance splitting (and the
     resulting ``tail_bound``), and how many of its trials were served
     from a result cache instead of being re-simulated.
@@ -267,17 +277,6 @@ class CampaignOutcome:
             f"{reason} after {self.result.trials} trials"
             f" ({self.rounds} rounds{cached})"
         )
-
-
-def _execute_chunk_task(task: ChunkTask) -> tuple[ChunkTask, MsedTally]:
-    """Picklable shard body returning the task alongside its tally.
-
-    The campaign needs per-chunk tallies back (to record them into the
-    result cache), so it cannot use :func:`run_sharded`'s per-group
-    fold for the process-pool path.
-    """
-    _, tally = run_chunk_task(task)
-    return task, tally
 
 
 def _splitting_estimator(simulator: Any) -> Any | None:
@@ -349,18 +348,19 @@ class CampaignRunner:
         escalated = [False] * count
         cached_trials = [0] * count
         budget_left = self.policy.trial_budget
-
-        # Specs are needed whenever chunks leave this process (sharded
-        # or distributed) and whenever the cache needs fingerprints.
-        sharded = jobs > 1 or executor is not None
+        # Chunks that leave this process (pool or distributed) carry
+        # picklable specs; in-process chunks carry the live simulator.
+        # The result cache keys its cells by spec fingerprint.
+        remote = jobs > 1 or executor is not None
         specs = (
             [sim._task_spec() for sim in simulators]
-            if sharded or self.cache is not None
+            if remote or self.cache is not None
             else None
         )
+        runners = specs if remote else list(simulators)
+        index_of = {group: i for i, group in enumerate(groups)}
 
-        done_chunks = 0
-        scheduled_chunks = 0
+        done = 0  # chunks executed across all rounds so far
         round_no = 0
         while True:
             views = [
@@ -412,75 +412,60 @@ class CampaignRunner:
                         ],
                     )
 
-            pending: list[tuple[int, ChunkTask]] = []
+            # Cache hits fold in place; every miss becomes a task.
+            pending: list[ChunkTask] = []
             for alloc in allocations:
                 i = alloc.index
                 chunks = plan_chunk_range(
                     trials[i], trials[i] + alloc.trials, chunk_size
                 )
                 for chunk in chunks:
-                    spec = specs[i] if specs is not None else None
                     held = (
-                        self.cache.lookup(key, spec, chunk)
+                        self.cache.lookup(key, specs[i], chunk)
                         if self.cache is not None
                         else None
                     )
                     if held is not None:
                         tallies[i].merge(held)
                         cached_trials[i] += held.trials
-                    elif spec is not None:
-                        pending.append((i, ChunkTask(groups[i], spec, chunk, key)))
                     else:
-                        with telemetry.span(
-                            "decode_chunk", point=str(groups[i])
-                        ):
-                            tallies[i].merge(
-                                simulators[i].run_chunk(chunk, key)
-                            )
-                        done_chunks += 1
+                        pending.append(
+                            ChunkTask(groups[i], runners[i], chunk, key)
+                        )
                 trials[i] += alloc.trials
                 rounds[i] += 1
                 if budget_left is not None:
                     budget_left -= alloc.trials
 
-            if pending:
-                scheduled_chunks = done_chunks + len(pending)
-                base_done = done_chunks
+            total = done + len(pending)
+            if executor is not None:
+                # The session is the round barrier: it folds (and
+                # journals and caches) each chunk exactly once.
+                base_done = done
 
-                def tick(done: int, total: int) -> None:
+                def tick(finished: int, _batch_total: int) -> None:
+                    progress(base_done + finished, total)
+
+                folded = executor.run_tasks(
+                    pending, tick if progress is not None else None
+                )
+                for group, tally in folded.items():
+                    tallies[index_of[group]].merge(tally)
+                done = total
+            else:
+
+                def fold(task: ChunkTask, result: tuple) -> None:
+                    nonlocal done
+                    i = index_of[task.group]
+                    _, tally = result
+                    tallies[i].merge(tally)
+                    if self.cache is not None:
+                        self.cache.record(key, specs[i], task.chunk, tally)
+                    done += 1
                     if progress is not None:
-                        progress(base_done + done, scheduled_chunks)
+                        progress(done, total)
 
-                if executor is not None:
-                    folded = run_sharded(
-                        [task for _, task in pending],
-                        jobs,
-                        tick if progress is not None else None,
-                        executor,
-                    )
-                    for i in sorted({i for i, _ in pending}):
-                        tallies[i].merge(folded.get(groups[i], MsedTally()))
-                else:
-                    by_group = {task.group: i for i, task in pending}
-
-                    def fold(pair: tuple[ChunkTask, MsedTally]) -> None:
-                        task, tally = pair
-                        tallies[by_group[task.group]].merge(tally)
-                        if self.cache is not None:
-                            self.cache.record(
-                                task.key, task.spec, task.chunk, tally
-                            )
-
-                    map_unordered(
-                        _execute_chunk_task,
-                        [task for _, task in pending],
-                        jobs=jobs,
-                        progress=tick if progress is not None else None,
-                        on_result=fold,
-                    )
-                done_chunks += len(pending)
-            if progress is not None and scheduled_chunks:
-                progress(done_chunks, max(scheduled_chunks, done_chunks))
+                map_unordered(run_chunk_task, pending, jobs, on_result=fold)
 
             for alloc in allocations:
                 i = alloc.index

@@ -249,11 +249,11 @@ class SplittingEstimator:
 
     The one estimator body behind :class:`MuseSplittingEstimator` and
     :class:`RsSplittingEstimator`, which only declare their fields.
-    ``run`` streams the plan exactly like the plain simulators, in
-    process or across a pool.  The branch fan is generated as numpy
-    batches; ``backend`` still selects the decode engine, and because
-    every engine classifies identically the tally is byte-identical
-    across them.
+    ``run`` streams the plan through the same chunk dispatch as the
+    plain simulators, in process or across a pool.  The branch fan is
+    generated as numpy batches; ``backend`` still selects the decode
+    engine, and because every engine classifies identically the tally
+    is byte-identical across them.
     """
 
     def run(
@@ -267,19 +267,15 @@ class SplittingEstimator:
     ) -> SplitResult:
         if chunk_size is None:
             chunk_size = min(trials, DEFAULT_SPLIT_CHUNK_SIZE) or 1
-        chunks = plan_chunks(trials, chunk_size)
         key = derive_key(seed)
-        if jobs > 1:
-            spec = self._task_spec()
-            tasks = [ChunkTask(0, spec, chunk, key) for chunk in chunks]
-            folded = run_sharded(tasks, jobs, progress)
-            return folded.get(0, SplitTally()).freeze()
-        tally = SplitTally()
-        for done, chunk in enumerate(chunks, start=1):
-            tally.merge(self.run_chunk(chunk, key))
-            if progress is not None:
-                progress(done, len(chunks))
-        return tally.freeze()
+        # In-process tasks carry this estimator itself; pooled ones the
+        # picklable spec that rebuilds it in each worker.
+        runner = self._task_spec() if jobs > 1 else self
+        tasks = [
+            ChunkTask(0, runner, chunk, key)
+            for chunk in plan_chunks(trials, chunk_size)
+        ]
+        return run_sharded(tasks, jobs, progress).get(0, SplitTally()).freeze()
 
     def run_chunk(self, chunk, key: int) -> SplitTally:
         """Generate the chunk's prefixes, branch, decode and tally.

@@ -7,7 +7,7 @@ go to stderr so stdout reports stay byte-identical either way.
 
 import pytest
 
-from repro.cli import DISTRIBUTED_EXPERIMENTS, build_parser, run
+from repro.cli import MONTE_CARLO_EXPERIMENTS, build_parser, run
 from repro.distribute import parse_distribute
 
 
@@ -47,7 +47,7 @@ class TestDispatch:
         assert run(build_parser().parse_args(argv)) == 0
         return captured
 
-    @pytest.mark.parametrize("experiment", DISTRIBUTED_EXPERIMENTS)
+    @pytest.mark.parametrize("experiment", MONTE_CARLO_EXPERIMENTS)
     def test_distribute_flags_threaded(self, monkeypatch, experiment):
         from repro import cli
 

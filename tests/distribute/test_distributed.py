@@ -24,11 +24,17 @@ from repro.reliability.monte_carlo import (
     MuseMsedSimulator,
     RsMsedSimulator,
     build_table_iv,
+    run_design_points_adaptive,
 )
 from repro.reliability.sampling.sequential import AdaptivePolicy
 from repro.rs.reed_solomon import rs_144_128
 
 SEED = 5
+
+
+def campaign(simulator, policy, seed, **kwargs):
+    """One simulator's adaptive campaign outcome."""
+    return run_design_points_adaptive([simulator], policy, seed, **kwargs)[0]
 
 
 def muse_simulator(backend="auto"):
@@ -149,10 +155,10 @@ class TestFaultTolerance:
             max_trials=800,
         )
         simulator = muse_simulator()
-        baseline = simulator.run_adaptive(policy, seed=7, chunk_size=64)
+        baseline = campaign(simulator, policy, seed=7, chunk_size=64)
         with DistributedSession(local_workers=2) as session:
-            distributed = simulator.run_adaptive(
-                policy, seed=7, chunk_size=64, executor=session
+            distributed = campaign(
+                simulator, policy, seed=7, chunk_size=64, executor=session
             )
         assert distributed.result == baseline.result
         assert distributed.trials_used == baseline.trials_used
@@ -225,7 +231,7 @@ class TestCheckpointResume:
             max_trials=800,
         )
         simulator = muse_simulator()
-        baseline = simulator.run_adaptive(policy, seed=7, chunk_size=50)
+        baseline = campaign(simulator, policy, seed=7, chunk_size=50)
         key = derive_key(7)
         with pytest.raises(DistributedInterrupted):
             with DistributedSession(
@@ -233,15 +239,15 @@ class TestCheckpointResume:
                 checkpoint=CheckpointJournal.open(tmp_path, key),
                 interrupt_after=2,
             ) as session:
-                simulator.run_adaptive(
-                    policy, seed=7, chunk_size=50, executor=session
+                campaign(
+                    simulator, policy, seed=7, chunk_size=50, executor=session
                 )
         journal = CheckpointJournal.open(tmp_path, key, resume=True)
         with DistributedSession(
             local_workers=1, checkpoint=journal
         ) as session:
-            resumed = simulator.run_adaptive(
-                policy, seed=7, chunk_size=50, executor=session
+            resumed = campaign(
+                simulator, policy, seed=7, chunk_size=50, executor=session
             )
         assert resumed.result == baseline.result
         assert resumed.trials_used == baseline.trials_used

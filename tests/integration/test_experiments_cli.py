@@ -193,6 +193,22 @@ class TestCliDispatch:
         assert run(args) == 2
         assert "--adaptive" in capsys.readouterr().err
 
+    def test_cache_dir_threaded_to_fixed_runs(self, monkeypatch):
+        from repro import cli
+
+        captured = self._capture(
+            monkeypatch, cli.table4, ["table4", "--cache-dir", "cells"]
+        )
+        assert captured["cache_dir"] == "cells"
+        assert "adaptive" not in captured
+
+    def test_cache_dir_rejected_for_non_campaign_experiments(self, capsys):
+        args = build_parser().parse_args(
+            ["extension-double-device", "--cache-dir", "cells"]
+        )
+        assert run(args) == 2
+        assert "--cache-dir applies to" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "argv",
         [["table4", "--ci-target", "0.2"], ["table4", "--max-trials", "500"]],

@@ -1,4 +1,4 @@
-"""Sequential-stopping tests: the adaptive sampler's headline contracts.
+"""Sequential-stopping tests: the adaptive campaign's headline contracts.
 
 * **prefix property** — an adaptive run at a fixed seed ends with a
   tally byte-identical to a fixed-trial run of ``trials_used`` trials
@@ -8,10 +8,11 @@
   below the ceiling, hard cells (rare target events) run to it;
 * **execution-shape invariance** — ``jobs > 1`` folds identically to
   ``jobs = 1``, across chunk sizes and decode backends, including the
-  stopping decision itself (``trials_used``).
-"""
+  stopping decision itself (``trials_used``) and the round count.
 
-import itertools
+Every property runs through :func:`run_design_points_adaptive`, the
+one campaign round loop.
+"""
 
 import pytest
 
@@ -22,22 +23,13 @@ from repro.reliability.monte_carlo import (
     MuseMsedSimulator,
     RsMsedSimulator,
     build_table_iv,
+    run_design_points_adaptive,
 )
 from repro.reliability.sampling.sequential import (
     AdaptivePolicy,
-    AdaptiveRunner,
     policy_from_cli,
 )
 from repro.rs.reed_solomon import rs_144_128
-
-try:
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover
-    HAVE_NUMPY = False
-
-requires_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
 
 
 def _muse(backend="auto"):
@@ -68,26 +60,7 @@ HARD = AdaptivePolicy(
 
 
 class TestPolicy:
-    def test_schedule_is_deterministic_and_hits_ceiling(self):
-        policy = AdaptivePolicy(initial_trials=100, growth=2.0, max_trials=900)
-        assert list(policy.schedule()) == [100, 201, 403, 807, 900]
-
-    def test_schedule_single_round_when_ceiling_below_initial(self):
-        policy = AdaptivePolicy(initial_trials=500, max_trials=300)
-        assert list(policy.schedule()) == [300]
-
-    def test_schedule_is_chunking_independent_input(self):
-        """The looks depend on the policy alone — ten values are the
-        same whether consumed eagerly or lazily."""
-        policy = AdaptivePolicy(initial_trials=7, growth=1.5, max_trials=10**7)
-        eager = list(itertools.islice(policy.schedule(), 10))
-        lazy = [n for _, n in zip(range(10), policy.schedule())]
-        assert eager == lazy
-        assert all(a < b for a, b in zip(eager, eager[1:]))
-
     def test_validation(self):
-        with pytest.raises(ValueError, match="growth"):
-            AdaptivePolicy(growth=1.0)
         with pytest.raises(ValueError, match="metric"):
             AdaptivePolicy(metric="typo")
         with pytest.raises(ValueError, match="kind"):
@@ -114,26 +87,27 @@ class TestPolicy:
         assert policy_from_cli(None, None) == AdaptivePolicy()
 
 
+def _campaign(simulator, policy, seed, **kwargs):
+    """One simulator's campaign outcome."""
+    return run_design_points_adaptive([simulator], policy, seed, **kwargs)[0]
+
+
 class TestStopping:
     def test_easy_cell_stops_under_ceiling(self):
-        outcome = AdaptiveRunner(EASY).run_one(_muse(), seed=2022)
+        outcome = _campaign(_muse(), EASY, seed=2022)
         assert outcome.converged
         assert outcome.trials_used < EASY.max_trials
         assert EASY.satisfied(outcome.result)
         assert outcome.rounds >= 1
 
     def test_hard_cell_hits_ceiling(self):
-        outcome = AdaptiveRunner(HARD).run_one(_muse(), seed=2022)
+        outcome = _campaign(_muse(), HARD, seed=2022)
         assert not outcome.converged
         assert outcome.trials_used == HARD.max_trials
 
-    def test_trials_used_lands_on_a_schedule_boundary(self):
-        outcome = AdaptiveRunner(EASY).run_one(_muse(), seed=2022)
-        assert outcome.trials_used in list(EASY.schedule())
-
     def test_describe_mentions_exit(self):
-        easy = AdaptiveRunner(EASY).run_one(_muse(), seed=2022)
-        hard = AdaptiveRunner(HARD).run_one(_muse(), seed=2022)
+        easy = _campaign(_muse(), EASY, seed=2022)
+        hard = _campaign(_muse(), HARD, seed=2022)
         assert "converged" in easy.describe()
         assert "ceiling" in hard.describe()
 
@@ -145,51 +119,52 @@ class TestStopping:
         )
         # rs_144_128 failure ~0.6% needs far more trials than
         # muse_80_69's ~15% at the same relative tolerance.
-        outcomes = AdaptiveRunner(policy).run([_muse(), _rs()], seed=2022)
+        outcomes = run_design_points_adaptive(
+            [_muse(), _rs()], policy, seed=2022
+        )
         assert outcomes[0].trials_used < outcomes[1].trials_used
 
 
 class TestPrefixProperty:
-    """Satellite: adaptive reproduces the fixed-trial tally prefix."""
+    """Adaptive reproduces the fixed-trial tally prefix."""
 
     @pytest.mark.parametrize("backend", available_backends())
     @pytest.mark.parametrize("make", (_muse, _rs), ids=("muse", "rs"))
     def test_adaptive_tally_is_fixed_run_prefix(self, make, backend):
         simulator = make(backend)
-        outcome = AdaptiveRunner(EASY).run_one(simulator, seed=5)
+        outcome = _campaign(simulator, EASY, seed=5)
         fixed = simulator.run(outcome.trials_used, seed=5)
         assert outcome.result == fixed  # byte-for-byte, every bucket
 
     def test_every_round_boundary_is_a_prefix(self):
-        """Not just the final tally: stopping one round earlier (via a
-        lower ceiling) yields that round's fixed-trial tally too."""
+        """Not just the converged tally: a campaign that never
+        converges stops at its ceiling — after one round or several —
+        with that ceiling's fixed-trial tally."""
         simulator = _muse()
-        schedule = list(EASY.schedule())
-        for ceiling in schedule[:3]:
+        for ceiling in (200, 401, 803, 1_000):
             policy = AdaptivePolicy(
                 ci_target=0.0,  # never converge: run to the ceiling
                 metric="failure",
                 initial_trials=EASY.initial_trials,
                 max_trials=ceiling,
             )
-            outcome = AdaptiveRunner(policy).run_one(simulator, seed=5)
+            outcome = _campaign(simulator, policy, seed=5)
             assert outcome.trials_used == ceiling
             assert outcome.result == simulator.run(ceiling, seed=5)
 
 
 class TestExecutionShapeInvariance:
-    """Satellite: jobs>1 folds identically to jobs=1, across chunk
-    sizes and backends — including the stopping decision."""
+    """jobs>1 folds identically to jobs=1, across chunk sizes and
+    backends — including the stopping decision and the rounds."""
 
     @pytest.mark.parametrize("backend", available_backends())
     @pytest.mark.parametrize("make", (_muse, _rs), ids=("muse", "rs"))
     def test_jobs_and_chunking_invariant(self, make, backend):
         simulator = make(backend)
-        runner = AdaptiveRunner(EASY)
-        baseline = runner.run_one(simulator, seed=7)
+        baseline = _campaign(simulator, EASY, seed=7)
         for jobs, chunk_size in ((1, 64), (1, 333), (2, 128), (2, None)):
-            outcome = runner.run_one(
-                simulator, seed=7, jobs=jobs, chunk_size=chunk_size
+            outcome = _campaign(
+                simulator, EASY, seed=7, jobs=jobs, chunk_size=chunk_size
             )
             assert outcome == baseline, (
                 f"adaptive outcome diverged at jobs={jobs} "
@@ -201,17 +176,17 @@ class TestExecutionShapeInvariance:
         if "numpy" not in backends or "scalar" not in backends:
             pytest.skip("needs both backends")
         outcomes = {
-            backend: AdaptiveRunner(EASY).run_one(_muse(backend), seed=11)
+            backend: _campaign(_muse(backend), EASY, seed=11)
             for backend in ("scalar", "numpy")
         }
         assert outcomes["scalar"].result == outcomes["numpy"].result
         assert (
             outcomes["scalar"].trials_used == outcomes["numpy"].trials_used
         )
+        assert outcomes["scalar"].rounds == outcomes["numpy"].rounds
 
 
 class TestTableIVAdaptive:
-    @requires_numpy
     def test_build_table_iv_adaptive_attaches_outcomes(self):
         policy = AdaptivePolicy(
             ci_target=0.5, metric="failure", initial_trials=150,
@@ -225,7 +200,6 @@ class TestTableIVAdaptive:
             assert point.result.trials <= policy.max_trials
             assert point.result == point.sampling.result
 
-    @requires_numpy
     def test_build_table_iv_adaptive_jobs_invariant(self):
         policy = AdaptivePolicy(
             ci_target=0.5, metric="failure", initial_trials=150,

@@ -12,8 +12,12 @@
 * **escalation** — a zero-event point hands off to the importance
   splitting estimator instead of burning plain trials to the ceiling;
 * **result cache** — a warm re-run folds every cell from disk with
-  zero new trials and byte-identical outcomes.
+  zero new trials and byte-identical outcomes;
+* **progress** — one callback per executed chunk, in process and across
+  a pool, ending at ``done == total``.
 """
+
+import re
 
 import pytest
 
@@ -34,15 +38,6 @@ from repro.reliability.sampling.scheduler import (
 )
 from repro.reliability.sampling.sequential import AdaptivePolicy
 from repro.rs.reed_solomon import rs_144_128
-
-try:
-    import numpy  # noqa: F401
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover
-    HAVE_NUMPY = False
-
-requires_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy unavailable")
 
 
 def _muse(backend="auto"):
@@ -240,7 +235,6 @@ class TestEscalation:
         assert outcome.trials_used < self.ZERO_EVENT.max_trials
         assert "importance splitting" in outcome.describe()
 
-    @requires_numpy
     def test_escalated_point_carries_a_splitting_tail_bound(self):
         policy = CampaignPolicy(
             base=self.ZERO_EVENT, escalate_after=400, escalation_trials=400
@@ -437,3 +431,63 @@ class TestCampaignOutcome:
             [_muse()], EASY, seed=7, cache_dir=str(tmp_path)
         )
         assert "cached" in warm.describe()
+
+
+class TestProgress:
+    """Every campaign reports progress once per executed chunk, in
+    process as well as across a pool, with a ``done`` count that never
+    goes back and ends at its total."""
+
+    POLICY = AdaptivePolicy(
+        ci_target=0.3, initial_trials=500, max_trials=4_000
+    )
+
+    def _executed_chunks(self, monkeypatch) -> int:
+        """How many chunks the campaign runs (counted in process)."""
+        from repro.reliability.monte_carlo import MsedSimulator
+
+        executed = []
+        original = MsedSimulator.run_chunk
+
+        def counted(simulator, chunk, key):
+            executed.append(chunk)
+            return original(simulator, chunk, key)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(MsedSimulator, "run_chunk", counted)
+            run_design_points_adaptive(
+                [_muse(), _rs()], self.POLICY, 7, chunk_size=500
+            )
+        return len(executed)
+
+    @pytest.mark.parametrize("jobs", (1, 2))
+    def test_one_callback_per_executed_chunk(self, jobs, monkeypatch):
+        expected = self._executed_chunks(monkeypatch)
+        calls = []
+        run_design_points_adaptive(
+            [_muse(), _rs()], self.POLICY, 7, jobs=jobs, chunk_size=500,
+            progress=lambda done, total: calls.append((done, total)),
+        )
+        assert expected > 2  # several rounds' worth of chunks
+        assert len(calls) == expected
+        dones = [done for done, _ in calls]
+        assert dones == list(range(1, expected + 1))
+        assert all(done <= total for done, total in calls)
+        assert calls[-1][0] == calls[-1][1]
+
+    def test_cli_adaptive_run_prints_progress(self, capsys):
+        from repro.cli import build_parser, run
+
+        args = build_parser().parse_args(
+            [
+                "table4", "--adaptive", "--ci-target", "0.3",
+                "--max-trials", "2000", "--progress",
+            ]
+        )
+        assert run(args) == 0
+        counts = re.findall(
+            r"^\[progress\] chunks (\d+)/(\d+)", capsys.readouterr().err, re.M
+        )
+        assert counts
+        done, total = counts[-1]
+        assert done == total
