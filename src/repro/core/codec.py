@@ -180,7 +180,7 @@ class MuseCode:
 
         Exists for the ablation quantifying how much of the
         multi-symbol detection rate the ripple check contributes
-        (DESIGN.md Section 7).
+        (the ``ablation-frontier`` experiment).
 
         Without the range detector the corrector is just an n-bit
         adder, so a correction that would over- or underflow wraps

@@ -14,6 +14,17 @@ them (Section VII-C):
 Latencies come from the VLSI model's cycle counts at the 2400 MHz
 memory clock — 3 cycles MUSE, 1 cycle RS, matching Table V's gem5
 columns.
+
+None of those costs changes which accesses hit, miss or write back:
+that depends on the address trace alone.  So a run is split in two.
+An :class:`EventStream` walks the warmed hierarchy once and records,
+per memory operation, the level that served it and the writebacks it
+caused; :meth:`Simulator.run` replays that stream through one
+configuration's DRAM channel and tagging engine.  ``run_figure6`` and
+``run_figure7`` record one stream per workload and replay it for every
+configuration of the row; the replay adds the same floats in the same
+order as a fresh walk would, so every result is bit-identical to
+simulating each configuration from scratch.
 """
 
 from __future__ import annotations
@@ -123,6 +134,73 @@ class SimResult:
         return self.instructions / (self.elapsed_ns * 3.4)
 
 
+#: One replayed memory operation:
+#: ``(gap_instructions, address, served_level, writebacks)``.
+Event = tuple[int, int, int, tuple[int, ...]]
+
+
+class EventStream:
+    """The hierarchy's events for one trace, recorded once, replayed per config.
+
+    The stream is keyed by everything the walk depends on — the
+    profile, ``mem_ops``, ``seed`` and ``warm`` — and refuses to replay
+    for a simulator that differs in any of them.  The first
+    :meth:`Simulator.run` handed an unrecorded stream records it (so the
+    walk is timed inside a run); later runs read the same list, which
+    replay never mutates.
+
+    Plain cache hits (served above DRAM, no writebacks) share one
+    interned record per ``(gap, level)`` whose address is 0: replay only
+    reads the address of an access served by DRAM.
+    """
+
+    def __init__(
+        self,
+        profile: WorkloadProfile,
+        mem_ops: int = 60_000,
+        seed: int = 1,
+        warm: bool = True,
+    ):
+        self.key = (profile, mem_ops, seed, warm)
+        self._events: list[Event] | None = None
+
+    def events(self, simulator: Simulator) -> list[Event]:
+        """The recorded events, walking the hierarchy on first use."""
+        key = (simulator.profile, simulator.mem_ops, simulator.seed, simulator.warm)
+        if key != self.key:
+            raise ValueError(
+                f"event stream recorded for (profile, mem_ops, seed, warm) = "
+                f"{self.key} cannot replay {key}"
+            )
+        if self._events is None:
+            self._events = self._record()
+        return self._events
+
+    def _record(self) -> list[Event]:
+        profile, mem_ops, seed, warm = self.key
+        hierarchy = CacheHierarchy()
+        if warm:
+            hierarchy.warm_l3(
+                TraceGenerator.BASE_ADDRESS + TraceGenerator.HOT_REGION_BYTES,
+                profile.working_set_kb * 1024,
+                dirty_fraction=profile.write_fraction,
+                seed=seed,
+            )
+        hits: dict[tuple[int, int], Event] = {}
+        events: list[Event] = []
+        for op in TraceGenerator(profile, seed=seed).operations(mem_ops):
+            event = hierarchy.access(op.address, op.is_write)
+            gap, level = op.gap_instructions, event.served_level
+            if level < 4 and not event.writebacks:
+                record = hits.get((gap, level))
+                if record is None:
+                    record = hits[gap, level] = (gap, 0, level, ())
+            else:
+                record = (gap, op.address, level, event.writebacks)
+            events.append(record)
+        return events
+
+
 @dataclass
 class Simulator:
     """One run = one workload x one system configuration."""
@@ -135,47 +213,42 @@ class Simulator:
     cpu: CpuTiming = field(default_factory=CpuTiming)
     dram_config: DramTimingConfig = field(default_factory=DramTimingConfig)
 
-    def run(self) -> SimResult:
-        hierarchy = CacheHierarchy()
-        if self.warm:
-            hierarchy.warm_l3(
-                TraceGenerator.BASE_ADDRESS + TraceGenerator.HOT_REGION_BYTES,
-                self.profile.working_set_kb * 1024,
-                dirty_fraction=self.profile.write_fraction,
-                seed=self.seed,
-            )
+    def run(self, stream: EventStream | None = None) -> SimResult:
+        """Replay ``stream`` (recorded here if needed) through this config.
+
+        Without a stream the run records a private one, so a single
+        configuration costs one hierarchy walk, as it always did.
+        """
+        if stream is None:
+            stream = EventStream(self.profile, self.mem_ops, self.seed, self.warm)
+        events = stream.events(self)
         channel = DramChannel(self.dram_config)
         tagging = TaggingEngine(
             self.config.tagging, cache_entries=self.config.metadata_cache_entries
         )
-        trace = TraceGenerator(self.profile, seed=self.seed)
         ecc = self.config.ecc
         correction_ns = ecc.correction_ns if self.config.always_correct else 0.0
         write_ns = ecc.write_ns
-        cycle_ns = self.cpu.cycle_ns
-
-        instruction_ns = self.cpu.instruction_ns
-        fetch_ns = self.cpu.fetch_cycles * cycle_ns
+        cpu = self.cpu
+        instruction_ns = cpu.instruction_ns
+        fetch_ns = cpu.fetch_cycles * cpu.cycle_ns
+        level_ns = (0.0, cpu.level_ns(1), cpu.level_ns(2), cpu.level_ns(3))
+        # Full blocking walk on an LLC miss: L1 + L2 + L3 lookups, then DRAM.
+        walk_ns = level_ns[1] + level_ns[2] + level_ns[3]
         now_ns = 0.0
         instructions = 0
-        for op in trace.operations(self.mem_ops):
-            instructions += op.gap_instructions + 1
-            now_ns += op.gap_instructions * instruction_ns + fetch_ns
-            event = hierarchy.access(op.address, op.is_write)
-            if event.served_level < 4:
-                now_ns += self.cpu.level_ns(event.served_level)
+        for gap, address, level, writebacks in events:
+            instructions += gap + 1
+            now_ns += gap * instruction_ns + fetch_ns
+            if level < 4:
+                now_ns += level_ns[level]
             else:
-                # Full blocking walk: L1 + L2 + L3 lookups, then DRAM.
-                now_ns += (
-                    self.cpu.level_ns(1)
-                    + self.cpu.level_ns(2)
-                    + self.cpu.level_ns(3)
-                )
-                now_ns = channel.read(op.address, now_ns, extra_ns=correction_ns)
-                metadata_addr = tagging.metadata_read_for_miss(op.address)
+                now_ns += walk_ns
+                now_ns = channel.read(address, now_ns, extra_ns=correction_ns)
+                metadata_addr = tagging.metadata_read_for_miss(address)
                 if metadata_addr is not None:
                     channel.posted_read(metadata_addr, now_ns)
-            for victim in event.writebacks:
+            for victim in writebacks:
                 channel.write(victim, now_ns, extra_ns=write_ns)
 
         power = DramPowerModel().power_mw(channel.counters, now_ns)
@@ -218,10 +291,11 @@ def run_figure6(
     rows = []
     baseline_config = SystemConfig("baseline", NO_ECC_TIMING)
     for profile in profiles:
-        baseline = Simulator(profile, baseline_config, mem_ops, seed).run()
+        stream = EventStream(profile, mem_ops, seed)
+        baseline = Simulator(profile, baseline_config, mem_ops, seed).run(stream)
         slowdowns = {}
         for config in FIGURE6_CONFIGS:
-            result = Simulator(profile, config, mem_ops, seed).run()
+            result = Simulator(profile, config, mem_ops, seed).run(stream)
             slowdowns[config.name] = result.elapsed_ns / baseline.elapsed_ns
         rows.append(Figure6Row(workload=profile.name, slowdowns=slowdowns))
     return rows
@@ -261,8 +335,9 @@ def run_figure7(
     """Slowdown, DRAM power and rd+wr counts, normalized to MUSE MT."""
     rows = []
     for profile in profiles:
+        stream = EventStream(profile, mem_ops, seed)
         results = {
-            config.name: Simulator(profile, config, mem_ops, seed).run()
+            config.name: Simulator(profile, config, mem_ops, seed).run(stream)
             for config in FIGURE7_CONFIGS
         }
         rows.append(Figure7Row(workload=profile.name, results=results))

@@ -14,13 +14,14 @@ shaped to the published characterization of that benchmark:
 
 The profiles do not claim instruction-level fidelity; they preserve the
 *ordering and rough magnitude* of memory-boundedness across the suite,
-which is the only property Figures 6 and 7 consume.  (Substitution
-documented in DESIGN.md.)
+which is the only property Figures 6 and 7 consume.  (The substitution
+is described in the README's "Timing simulator (Figures 6/7)" section.)
 """
 
 from __future__ import annotations
 
 import random
+import zlib
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -72,6 +73,42 @@ SPEC2017_PROFILES: tuple[WorkloadProfile, ...] = (
 )
 
 
+#: Per-benchmark trace salt: ``hash(name) & 0xFFFFFFFF`` as CPython 3.11
+#: computes it under ``PYTHONHASHSEED=0``.  Frozen so a trace depends on
+#: ``(profile, seed)`` alone — never on the interpreter's per-process hash
+#: salt or version — while every trace published under that pinned salt
+#: stays the same.  Other names salt with :func:`zlib.crc32`.
+TRACE_SALTS: dict[str, int] = {
+    "500.perlbench_r": 0x2BBCB452,
+    "502.gcc_r": 0x6CC59C4A,
+    "503.bwaves_r": 0x50B70E90,
+    "505.mcf_r": 0x1268BE9B,
+    "507.cactuBSSN_r": 0x2AC426E3,
+    "508.namd_r": 0x2EB70B51,
+    "510.parest_r": 0xA5071ED0,
+    "511.povray_r": 0x679C51E5,
+    "519.lbm_r": 0x1ED9CDEB,
+    "520.omnetpp_r": 0x7C82090A,
+    "521.wrf_r": 0x63B56096,
+    "523.xalancbmk_r": 0xEE75E853,
+    "525.x264_r": 0x097C8873,
+    "526.blender_r": 0xCF751CAF,
+    "531.deepsjeng_r": 0xD3530CDE,
+    "538.imagick_r": 0x7B92500F,
+    "541.leela_r": 0x1904681B,
+    "544.nab_r": 0xC0A964F7,
+    "548.exchange2_r": 0x8E50F279,
+    "549.fotonik3d_r": 0x637A4052,
+    "554.roms_r": 0x948863A2,
+    "557.xz_r": 0xBBFD4287,
+}
+
+
+def trace_salt(name: str) -> int:
+    """The 32-bit salt a profile's trace RNG mixes with its seed."""
+    return TRACE_SALTS.get(name, zlib.crc32(name.encode()))
+
+
 @dataclass(frozen=True)
 class MemoryOp:
     """One memory reference plus the plain instructions preceding it."""
@@ -106,7 +143,7 @@ class TraceGenerator:
     def operations(self, count: int) -> Iterator[MemoryOp]:
         """Yield ``count`` memory operations."""
         profile = self.profile
-        rng = random.Random((hash(profile.name) ^ self.seed) & 0xFFFFFFFF)
+        rng = random.Random((trace_salt(profile.name) ^ self.seed) & 0xFFFFFFFF)
         working_set = profile.working_set_kb * 1024
         gap = max(1, round(1000 / profile.mem_per_kilo_inst) - 1)
         stream_pointer = 0

@@ -1,13 +1,44 @@
 """Synthetic workload tests."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.perf.workloads import (
     SPEC2017_PROFILES,
+    TRACE_SALTS,
     TraceGenerator,
     WorkloadProfile,
     profile_by_name,
 )
+
+SRC = str(Path(repro.__file__).resolve().parents[1])
+CUSTOM = WorkloadProfile("custom.bench", 9_000, 0.5, 0.3, 400)
+
+#: Prints the first 300 ops of two traces: a SPEC profile (frozen salt)
+#: and a custom one (crc32 salt).
+TRACE_SCRIPT = """
+from repro.perf.workloads import TraceGenerator, WorkloadProfile, profile_by_name
+for profile in (profile_by_name("505.mcf_r"),
+                WorkloadProfile("custom.bench", 9_000, 0.5, 0.3, 400)):
+    ops = TraceGenerator(profile, seed=11).operations(300)
+    print([(op.gap_instructions, op.address, op.is_write) for op in ops])
+"""
+
+
+def _run_python(script: str, hashseed: str) -> str:
+    env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=SRC)
+    return subprocess.run(
+        [sys.executable, "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
 
 
 class TestProfiles:
@@ -72,3 +103,30 @@ class TestTraceGenerator:
     def test_op_count_exact(self):
         profile = profile_by_name("502.gcc_r")
         assert sum(1 for _ in TraceGenerator(profile).operations(123)) == 123
+
+
+class TestHashSeedIndependence:
+    def test_trace_is_the_same_under_any_hash_seed(self):
+        expected = "".join(
+            f"{[(op.gap_instructions, op.address, op.is_write) for op in ops]}\n"
+            for ops in (
+                TraceGenerator(profile_by_name("505.mcf_r"), seed=11).operations(300),
+                TraceGenerator(CUSTOM, seed=11).operations(300),
+            )
+        )
+        for hashseed in ("1", "2"):
+            assert _run_python(TRACE_SCRIPT, hashseed) == expected
+
+    def test_salt_table_covers_every_profile(self):
+        assert set(TRACE_SALTS) == {p.name for p in SPEC2017_PROFILES}
+
+    @pytest.mark.skipif(
+        sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+        reason="the frozen salts are CPython 3.11's string hashes",
+    )
+    def test_salts_are_the_pinned_hash_seed_hashes(self):
+        script = (
+            "from repro.perf.workloads import SPEC2017_PROFILES\n"
+            "print({p.name: hash(p.name) & 0xFFFFFFFF for p in SPEC2017_PROFILES})"
+        )
+        assert _run_python(script, "0") == f"{TRACE_SALTS}\n"
