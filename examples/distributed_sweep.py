@@ -38,13 +38,10 @@ def main() -> None:
     # --- first attempt: 2 workers, forced to die after 7 chunks -------
     print(f"\nrun 1: {TRIALS} trials over 2 workers, crashing mid-run ...")
     try:
-        with DistributedSession(
-            local_workers=2,
-            checkpoint=CheckpointJournal.open(checkpoint_dir, key),
-            interrupt_after=7,
-        ) as session:
+        with DistributedSession(local_workers=2, interrupt_after=7) as session:
             simulator.run(
-                TRIALS, seed=SEED, chunk_size=CHUNK_SIZE, executor=session
+                TRIALS, seed=SEED, chunk_size=CHUNK_SIZE, executor=session,
+                checkpoint_dir=checkpoint_dir,
             )
     except DistributedInterrupted as exc:
         print(f"  crashed on purpose: {exc}")
@@ -54,9 +51,10 @@ def main() -> None:
 
     # --- resume: journalled chunks replay from disk -------------------
     print("\nrun 2: resuming from the checkpoint ...")
-    with DistributedSession(local_workers=2, checkpoint=journal) as session:
+    with DistributedSession(local_workers=2) as session:
         resumed = simulator.run(
-            TRIALS, seed=SEED, chunk_size=CHUNK_SIZE, executor=session
+            TRIALS, seed=SEED, chunk_size=CHUNK_SIZE, executor=session,
+            checkpoint_dir=checkpoint_dir, resume=True,
         )
         print(f"  chunks computed after resume: {session._folds}")
 

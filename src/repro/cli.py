@@ -13,6 +13,7 @@ Examples
         # completed cells fold from the cross-run cache with 0 trials
     repro-muse figure6 --quick             # 3-benchmark, short-trace preview
     repro-muse all --jobs 4 --results-dir results  # concurrent sweep
+    repro-muse table4 --checkpoint-dir ckpt [--resume]  # resumable run
     repro-muse table4 --distribute local:4 # loopback coordinator + 4 workers
     repro-muse coordinator --run table4 --port 7000 --trials 100000000 \\
         --checkpoint-dir ckpt              # serve chunks to remote workers
@@ -60,9 +61,10 @@ MONTE_CARLO_DEFAULT_TRIALS = {
 #: The MSED experiments that run on the campaign round loop, and so
 #: accept everything it offers: adaptive sampling (--adaptive/
 #: --ci-target/--max-trials/--trial-budget), a coordinator/worker
-#: session (--distribute/--checkpoint-dir/--resume; their MsedTally
-#: specs are wire-registered), the result cache (--cache-dir), fault
-#: scenarios (--scenario) and telemetry (--telemetry-dir).
+#: session (--distribute; their MsedTally specs are wire-registered),
+#: the checkpoint journal (--checkpoint-dir/--resume), the result cache
+#: (--cache-dir), fault scenarios (--scenario) and telemetry
+#: (--telemetry-dir).
 #: extension-double-device tallies erasure recoveries, not MSED rates,
 #: so it stays on the plain fixed-budget shard runner.
 MONTE_CARLO_EXPERIMENTS = ("table4", "ablation-shuffle", "ablation-frontier")
@@ -243,9 +245,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--checkpoint-dir", default=None,
         help=(
-            "journal every folded chunk to this directory (atomic "
-            "writes; requires --distribute) so an interrupted run can "
-            "--resume; 'all' gives each experiment a subdirectory"
+            "journal every folded chunk to this directory (fsync'd "
+            "appends; in process or with --distribute) so an "
+            "interrupted run can --resume; 'all' gives each experiment "
+            "a subdirectory"
         ),
     )
     parser.add_argument(
@@ -332,16 +335,16 @@ def experiment_kwargs(args: argparse.Namespace) -> dict[str, dict]:
         if name in MONTE_CARLO_EXPERIMENTS:
             if args.distribute is not None:
                 kw["distribute"] = args.distribute
-                if args.checkpoint_dir is not None:
-                    # An 'all' sweep journals each experiment in its own
-                    # subdirectory so the journals can never collide.
-                    kw["checkpoint_dir"] = (
-                        os.path.join(args.checkpoint_dir, name)
-                        if args.experiment == "all"
-                        else args.checkpoint_dir
-                    )
-                    if args.resume:
-                        kw["resume"] = True
+            if args.checkpoint_dir is not None:
+                # An 'all' sweep journals each experiment in its own
+                # subdirectory so the journals can never collide.
+                kw["checkpoint_dir"] = (
+                    os.path.join(args.checkpoint_dir, name)
+                    if args.experiment == "all"
+                    else args.checkpoint_dir
+                )
+                if args.resume:
+                    kw["resume"] = True
             if args.progress:
                 kw["progress"] = True
             if args.scenario is not None:
@@ -522,10 +525,15 @@ def run(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.checkpoint_dir is not None and args.distribute is None:
+    if args.checkpoint_dir is not None and args.experiment not in (
+        MONTE_CARLO_EXPERIMENTS + ("all",)
+    ):
+        # Only the campaign round loop journals chunks; refuse rather
+        # than silently not checkpointing.
         print(
-            "error: --checkpoint-dir requires --distribute (use "
-            "'--distribute local:1' for a single-host resumable run)",
+            f"error: --checkpoint-dir applies to "
+            f"{', '.join(MONTE_CARLO_EXPERIMENTS)} (or 'all'), "
+            f"not {args.experiment}",
             file=sys.stderr,
         )
         return 2

@@ -11,11 +11,15 @@ JSON-line socket protocol and folds the returned tallies exactly once:
 * :mod:`~repro.distribute.queue` — the work-stealing lease queue
   (re-queues work from dead or straggling workers);
 * :mod:`~repro.distribute.checkpoint` — the atomic per-chunk tally
-  journal behind ``--checkpoint-dir`` / ``--resume``;
+  journal behind ``--checkpoint-dir`` / ``--resume``, and
+  :mod:`~repro.distribute.cache` — the cross-run result cache behind
+  ``--cache-dir``; the campaign round loop consults and feeds both,
+  whatever executor runs its chunks;
 * :mod:`~repro.distribute.coordinator` — :class:`DistributedSession`,
-  the server + batch fold API (``run_tasks``) that plugs into
-  :func:`repro.orchestrate.pool.run_sharded` as an ``executor`` and
-  serves as the campaign round loop's barrier;
+  the server + batch dispatch API (``run_tasks(tasks, on_result)``,
+  the executor contract :class:`repro.orchestrate.pool.LocalExecutor`
+  implements in process) that serves as the campaign round loop's
+  barrier;
 * :mod:`~repro.distribute.worker` / :mod:`~repro.distribute.local` —
   the ``repro-muse worker --connect`` pull loop and the loopback
   ``--distribute local:N`` subprocess fleet;
@@ -52,8 +56,6 @@ from repro.distribute.checkpoint import (
     SalvageReport,
 )
 
-# cache must import before coordinator: both sit on checkpoint, and the
-# cache is what the coordinator's ``cache=`` parameter duck-types.
 from repro.distribute.cache import ResultCache
 from repro.distribute.coordinator import (
     INTERRUPT_ENV,
@@ -72,7 +74,6 @@ from repro.distribute.wire import (
     to_wire,
 )
 from repro.distribute.worker import serve_worker
-from repro.orchestrate.rng import derive_key
 
 __all__ = [
     "CHAOS_ENV",
@@ -135,44 +136,24 @@ def parse_distribute(spec: str) -> dict:
 def session_from_spec(
     spec: str,
     *,
-    seed: int,
-    checkpoint_dir: str | None = None,
-    resume: bool = False,
     backend: str | None = None,
     progress: bool = False,
     lease_timeout: float = 60.0,
     interrupt_after: int | None = None,
     chaos: str | None = None,
-    cache_dir: str | None = None,
 ) -> DistributedSession:
     """Build (but do not open) the session a ``--distribute`` run uses.
 
     ``chaos`` (defaulting to ``$REPRO_CHAOS``) arms deterministic fault
     injection on the coordinator *and* the spawned loopback workers.
-    ``cache_dir`` attaches the cross-run :class:`ResultCache`: completed
-    cells fold from disk with zero new trials.
     """
-    kwargs = parse_distribute(spec)
-    checkpoint = None
-    if checkpoint_dir is not None:
-        # The append-only journal persists each fold in O(1) (fsync'd
-        # line append), so no rate limiting is needed: a hard kill can
-        # tear at most the final in-flight record, which the CRC
-        # salvage discards on --resume.
-        checkpoint = CheckpointJournal.open(
-            checkpoint_dir,
-            key=derive_key(seed),
-            resume=resume,
-        )
     return DistributedSession(
         backend=backend,
-        checkpoint=checkpoint,
-        cache=ResultCache(cache_dir) if cache_dir is not None else None,
         lease_timeout=lease_timeout,
         heartbeat=Heartbeat() if progress else None,
         interrupt_after=interrupt_after,
         chaos=chaos,
-        **kwargs,
+        **parse_distribute(spec),
     )
 
 
@@ -180,47 +161,31 @@ def session_from_spec(
 def execution_context(
     distribute: str | None,
     *,
-    seed: int,
-    checkpoint_dir: str | None = None,
-    resume: bool = False,
     backend: str | None = None,
     progress: bool = False,
     lease_timeout: float = 60.0,
     chaos: str | None = None,
-    cache_dir: str | None = None,
 ) -> Iterator[tuple]:
     """The one experiment-side entry point: ``(executor, progress_cb)``.
 
     With ``distribute`` set, yields an open :class:`DistributedSession`
     (heartbeats cover progress, so the callback is ``None``); without
     it, yields no executor and — when ``progress`` is on — the
-    single-host :class:`ChunkProgress` printer.  Checkpoints belong to
-    the coordinator, so ``checkpoint_dir`` without ``distribute``
-    refuses loudly instead of silently not journaling.  ``cache_dir``
-    rides with the session here; in-process runs, fixed or adaptive,
-    attach their cache to the campaign round loop instead (see
-    :func:`repro.reliability.monte_carlo.run_design_points_adaptive`,
-    which drops it when an executor is set), so experiments pass the
-    same ``cache_dir`` to both.
+    single-host :class:`ChunkProgress` printer.  Chunk stores are not
+    part of the executor: experiments hand ``checkpoint_dir``/``resume``
+    and ``cache_dir`` to the run itself
+    (:func:`repro.reliability.monte_carlo.run_design_points_adaptive`),
+    so in-process and distributed runs journal, resume and cache alike.
     """
     if distribute is None:
-        if checkpoint_dir is not None:
-            raise ValueError(
-                "--checkpoint-dir requires --distribute (use "
-                "'--distribute local:1' for a single-host resumable run)"
-            )
         yield None, (ChunkProgress() if progress else None)
         return
     session = session_from_spec(
         distribute,
-        seed=seed,
-        checkpoint_dir=checkpoint_dir,
-        resume=resume,
         backend=backend,
         progress=progress,
         lease_timeout=lease_timeout,
         chaos=chaos,
-        cache_dir=cache_dir,
     )
     with session:
         yield session, None

@@ -14,13 +14,15 @@ cell folds straight off disk with zero new trials.
 
 On-disk layout: one CRC'd JSON-lines file per cell, named by a
 ``sha256(key, fingerprint)`` digest, under the ``--cache-dir``
-directory.  The line format is shared with the checkpoint journal
-(:func:`_encode_line` / :func:`_decode_line`), so the same
-torn-tail-tolerant load applies: a damaged suffix is simply ignored
-and those chunks recompute.  Appends batch in memory and land via one
-fsync'd :func:`~repro.orchestrate.persist.durable_append` per
-:meth:`flush` — the campaign runner and the distributed coordinator
-both flush at round barriers and at close.
+directory.  The line format and the salvage are shared with the
+checkpoint journal (:mod:`repro.orchestrate.persist`): a cell whose
+tail is damaged keeps its valid prefix, the damaged file is
+quarantined as a ``.corrupt`` sidecar and the prefix rewritten before
+the first append, so the lost chunks recompute once and the cell heals.
+Appends batch in memory and land via one fsync'd
+:func:`~repro.orchestrate.persist.durable_append` per :meth:`flush` —
+the campaign round loop flushes at every round barrier and when the
+run ends.
 """
 
 from __future__ import annotations
@@ -31,14 +33,16 @@ from pathlib import Path
 from typing import Any
 
 from repro import telemetry
-from repro.distribute.checkpoint import (
-    _TALLY_FIELDS,
-    _decode_line,
-    _encode_line,
-    spec_fingerprint,
+from repro.distribute.checkpoint import _TALLY_FIELDS
+from repro.orchestrate.persist import (
+    decode_crc_line,
+    durable_append,
+    encode_crc_line,
+    read_crc_lines,
+    salvage_crc_prefix,
 )
-from repro.orchestrate.persist import durable_append
 from repro.orchestrate.plan import Chunk
+from repro.orchestrate.worker import spec_fingerprint
 from repro.reliability.metrics import MsedTally
 
 CACHE_VERSION = 1
@@ -95,10 +99,10 @@ class ResultCache:
         path = self._path(digest)
         if not path.exists():
             return cell
-        lines = path.read_bytes().splitlines()
+        lines = read_crc_lines(path)
         if not lines:
             return cell
-        header = _decode_line(lines[0])
+        header = decode_crc_line(lines[0])
         if (
             header is None
             or header.get("version") != CACHE_VERSION
@@ -111,13 +115,18 @@ class ResultCache:
             self._foreign.add(digest)
             return cell
         self._headered.add(digest)
-        for line in lines[1:]:
-            record = _decode_line(line)
-            if record is None:
-                break  # torn tail: keep the valid prefix, drop the rest
-            counts = record["counts"]
-            tally = MsedTally(**{name: counts[name] for name in _TALLY_FIELDS})
-            cell[(record["start"], record["size"])] = tally
+
+        def adopt(record: dict) -> bool:
+            try:
+                counts = record["counts"]
+                cell[(record["start"], record["size"])] = MsedTally(
+                    **{name: counts[name] for name in _TALLY_FIELDS}
+                )
+            except (KeyError, TypeError):
+                return False
+            return True
+
+        salvage_crc_prefix(path, lines, adopt)
         return cell
 
     def lookup(self, key: int, spec: Any, chunk: Chunk) -> MsedTally | None:
@@ -165,8 +174,8 @@ class ResultCache:
                 "key": key,
                 "spec": fingerprint,
             }
-            queue.append(_encode_line(header))
-        queue.append(_encode_line(record))
+            queue.append(encode_crc_line(header))
+        queue.append(encode_crc_line(record))
         self.trials_recorded += tally.trials
 
     def flush(self) -> None:
@@ -175,9 +184,6 @@ class ResultCache:
             durable_append(self._path(digest), b"".join(lines))
             self._headered.add(digest)
         self._pending.clear()
-
-    def close(self) -> None:
-        self.flush()
 
     def stats(self) -> dict[str, int]:
         return {

@@ -30,29 +30,28 @@ Durability model (version 2):
 
 from __future__ import annotations
 
-import dataclasses
 import json
-import os
-import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
+# CORRUPT_SUFFIX, SalvageReport and spec_fingerprint are shared with
+# the result cache and the campaign runner; they stay importable here.
 from repro.orchestrate.persist import (
-    atomic_write_text,
+    CORRUPT_SUFFIX,
+    SalvageReport,
     decode_crc_line,
     durable_append,
     encode_crc_line,
+    quarantine,
+    read_crc_lines,
+    salvage_crc_prefix,
 )
 from repro.orchestrate.plan import Chunk
+from repro.orchestrate.worker import spec_fingerprint
 from repro.reliability.metrics import MsedTally
 
 JOURNAL_VERSION = 2
 JOURNAL_NAME = "checkpoint.jsonl"
-
-#: Quarantine suffix for a damaged journal (sits next to the salvaged
-#: rewrite so the evidence survives for post-mortems).
-CORRUPT_SUFFIX = ".corrupt"
 
 _TALLY_FIELDS = (
     "trials",
@@ -68,47 +67,18 @@ def _group_key(group: Any) -> str:
     return json.dumps(group, sort_keys=True)
 
 
-def spec_fingerprint(spec: Any) -> str:
-    """What must match for a journalled chunk to be reusable.
-
-    The spec's structural repr, minus the decode backend: scalar and
-    numpy tally byte-identically (the PR-1/PR-2 contract), so a
-    checkpoint taken on one backend resumes on any other — but a
-    changed code, ``k_symbols`` or decode policy must refuse, not
-    silently fold chunks of a different experiment.
-    """
-    if dataclasses.is_dataclass(spec) and hasattr(spec, "backend"):
-        spec = dataclasses.replace(spec, backend="any")
-    return repr(spec)
-
-
-# The CRC'd-line codec now lives in :mod:`repro.orchestrate.persist`
-# (it is shared with the result cache and the telemetry event log);
-# the private aliases keep this module's historical import surface.
-_encode_line = encode_crc_line
+# The CRC'd-line codec lives in :mod:`repro.orchestrate.persist` (it is
+# shared with the result cache and the telemetry event log).
 _decode_line = decode_crc_line
-
-
-@dataclass(frozen=True)
-class SalvageReport:
-    """What loading a damaged journal kept and dropped."""
-
-    records_kept: int
-    lines_dropped: int
-    corrupt_path: Path
 
 
 class CheckpointJournal:
     """All completed chunks of one run, persisted as CRC'd JSON lines.
 
     In memory: ``(group key, start, size) -> MsedTally``.  On disk: a
-    header line plus one appended line per record.  By default every
-    :meth:`record` persists immediately (appends are O(1));
-    ``save_every`` / ``min_save_interval`` batch appends for callers
-    that want to trade a few re-computable chunks for fewer fsyncs —
-    the coordinator flushes pending entries at every batch barrier, on
-    interrupt, and at session close, so a hard kill loses at most the
-    batched tail of *re-computable* chunks, never correctness.
+    header line plus one appended line per record.  Every
+    :meth:`record` is durable (fsync'd) before it returns, so a hard
+    kill loses at most the record in flight.
 
     ``chaos`` (a :class:`repro.distribute.chaos.FaultPlan`) injects the
     ``journal`` fault class: a scheduled append writes a torn line and
@@ -116,25 +86,13 @@ class CheckpointJournal:
     would leave the file.
     """
 
-    def __init__(
-        self,
-        path: str | Path,
-        key: int,
-        save_every: int = 1,
-        min_save_interval: float = 0.0,
-        chaos: Any | None = None,
-    ):
+    def __init__(self, path: str | Path, key: int, chaos: Any | None = None):
         self.path = Path(path)
         self.key = key
-        self.save_every = max(1, save_every)
-        self.min_save_interval = min_save_interval
         self.chaos = chaos
         self.salvage: SalvageReport | None = None
-        self._last_save = -float("inf")
         self._entries: dict[tuple[str, int, int], MsedTally] = {}
         self._fingerprints: dict[str, str] = {}
-        self._pending: list[dict] = []
-        self._unsaved = 0
         self._header_written = False
         self._torn = False  # a chaos journal fault fired: play dead
 
@@ -146,8 +104,6 @@ class CheckpointJournal:
         directory: str | Path,
         key: int,
         resume: bool = False,
-        save_every: int = 1,
-        min_save_interval: float = 0.0,
         chaos: Any | None = None,
     ) -> "CheckpointJournal":
         """Start (or resume) the journal under ``directory``.
@@ -157,17 +113,12 @@ class CheckpointJournal:
         A resumed journal must match this run's stream ``key`` (seed):
         folding chunks of a different stream would silently corrupt the
         tally.  A damaged journal salvages its valid prefix rather than
-        refusing (see the module docstring).
+        refusing (see the module docstring).  Resuming a directory with
+        no journal yet starts empty.
         """
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        journal = cls(
-            directory / JOURNAL_NAME,
-            key,
-            save_every=save_every,
-            min_save_interval=min_save_interval,
-            chaos=chaos,
-        )
+        journal = cls(directory / JOURNAL_NAME, key, chaos=chaos)
         if journal.path.exists():
             if not resume:
                 raise FileExistsError(
@@ -176,22 +127,13 @@ class CheckpointJournal:
                     f"the directory to start over"
                 )
             journal._load()
-        elif resume:
-            # Resuming nothing is fine (first run of a resumable
-            # campaign) — start empty.
-            pass
         return journal
 
     def _load(self) -> None:
-        raw = self.path.read_bytes()
-        lines = [line for line in raw.split(b"\n")]
-        # Drop the trailing empty element a well-formed final newline
-        # produces; keep interior blanks so they count as damage.
-        if lines and lines[-1] == b"":
-            lines.pop()
-        header = _decode_line(lines[0]) if lines else None
+        lines = read_crc_lines(self.path)
+        header = decode_crc_line(lines[0]) if lines else None
         if header is None or "version" not in header:
-            self._refuse_legacy_or_quarantine(raw, lines)
+            self._refuse_legacy_or_quarantine(lines)
             return
         if header.get("version") != JOURNAL_VERSION:
             raise ValueError(
@@ -204,17 +146,8 @@ class CheckpointJournal:
                 f"{header.get('key')} but this run uses key {self.key} "
                 f"(different --seed?); refusing to mix streams"
             )
-        kept = 0
-        damaged = False
-        for line in lines[1:]:
-            record = _decode_line(line)
-            if record is None or not self._adopt(record):
-                damaged = True
-                break
-            kept += 1
         self._header_written = True
-        if damaged:
-            self._quarantine_and_rewrite(kept, len(lines) - 1 - kept)
+        self.salvage = salvage_crc_prefix(self.path, lines, self._adopt)
 
     def _adopt(self, record: dict) -> bool:
         """Fold one decoded record into memory; ``False`` if malformed
@@ -237,15 +170,13 @@ class CheckpointJournal:
         self._entries[(group_key, start, size)] = tally
         return True
 
-    def _refuse_legacy_or_quarantine(
-        self, raw: bytes, lines: list[bytes]
-    ) -> None:
+    def _refuse_legacy_or_quarantine(self, lines: list[bytes]) -> None:
         """First line isn't a valid v2 header: either a legacy v1
         whole-document journal (refuse with the version story) or
         damage so early nothing is salvageable (quarantine, start
         empty)."""
         try:
-            legacy = json.loads(raw)
+            legacy = json.loads(b"\n".join(lines))
         except (ValueError, UnicodeDecodeError):
             legacy = None
         if isinstance(legacy, dict) and "version" in legacy:
@@ -253,46 +184,13 @@ class CheckpointJournal:
                 f"checkpoint journal {self.path} has version "
                 f"{legacy.get('version')!r}, expected {JOURNAL_VERSION}"
             )
-        self._quarantine_and_rewrite(0, len(lines))
-
-    def _quarantine_and_rewrite(self, kept: int, dropped: int) -> None:
-        """Move the damaged original aside and atomically rewrite the
-        valid prefix, so the healed journal is complete on disk before
-        the run continues appending to it."""
-        corrupt_path = self.path.with_name(self.path.name + CORRUPT_SUFFIX)
-        os.replace(self.path, corrupt_path)
-        self._rewrite()
-        self.salvage = SalvageReport(
-            records_kept=kept,
-            lines_dropped=dropped,
-            corrupt_path=corrupt_path,
+        self.salvage = quarantine(
+            self.path, [self._header_line().rstrip(b"\n")], len(lines)
         )
-
-    def _rewrite(self) -> None:
-        """Atomically write header + every in-memory record."""
-        chunks = [self._header_line().decode()]
-        for (group_key, start, size), tally in sorted(self._entries.items()):
-            chunks.append(
-                _encode_line(
-                    self._record_dict(group_key, start, size, tally)
-                ).decode()
-            )
-        atomic_write_text(self.path, "".join(chunks))
         self._header_written = True
 
     def _header_line(self) -> bytes:
-        return _encode_line({"version": JOURNAL_VERSION, "key": self.key})
-
-    def _record_dict(
-        self, group_key: str, start: int, size: int, tally: MsedTally
-    ) -> dict:
-        return {
-            "group": group_key,
-            "start": start,
-            "size": size,
-            "spec": self._fingerprints.get(group_key, ""),
-            "counts": {name: getattr(tally, name) for name in _TALLY_FIELDS},
-        }
+        return encode_crc_line({"version": JOURNAL_VERSION, "key": self.key})
 
     # -- queries --------------------------------------------------------
 
@@ -341,50 +239,38 @@ class CheckpointJournal:
     def record(
         self, group: Any, chunk: Chunk, tally: MsedTally, fingerprint: str
     ) -> None:
-        """Journal one completed chunk and (by default) persist now."""
+        """Journal one completed chunk, durably, before returning."""
         group_key = _group_key(group)
         self._check_fingerprint(group_key, fingerprint)
         self._fingerprints[group_key] = fingerprint
-        self._entries[(group_key, chunk.start, chunk.size)] = (
-            MsedTally().merge(tally)
-        )
-        self._pending.append(
-            self._record_dict(group_key, chunk.start, chunk.size, tally)
-        )
-        self._unsaved += 1
-        if (
-            self._unsaved >= self.save_every
-            and time.monotonic() - self._last_save >= self.min_save_interval
-        ):
-            self.save()
-
-    def flush(self) -> None:
-        """Persist any entries the rate limit is still holding back."""
-        if self._unsaved:
-            self.save()
-
-    def save(self) -> None:
-        """Append every pending record (fsync'd)."""
+        held = MsedTally().merge(tally)
+        self._entries[(group_key, chunk.start, chunk.size)] = held
         if self._torn:
             # A chaos journal fault already "crashed" the journal: the
             # run continues, but disk state stays frozen at the tear.
-            self._pending.clear()
-            self._unsaved = 0
             return
-        payload = b""
+        line = encode_crc_line(
+            {
+                "group": group_key,
+                "start": chunk.start,
+                "size": chunk.size,
+                "spec": fingerprint,
+                "counts": {
+                    name: getattr(held, name) for name in _TALLY_FIELDS
+                },
+            }
+        )
+        if self.chaos is not None and self.chaos.should("journal"):
+            # Tear this record mid-line — what a crash between write
+            # and fsync leaves — and go silent.
+            line = line[: max(1, len(line) * 2 // 3)].rstrip(b"\n")
+            self._torn = True
         if not self._header_written and not self.path.exists():
-            payload += self._header_line()
-        for record in self._pending:
-            line = _encode_line(record)
-            if self.chaos is not None and self.chaos.should("journal"):
-                # Tear this record mid-line — what a crash between
-                # write and fsync leaves — and go silent.
-                payload += line[: max(1, len(line) * 2 // 3)].rstrip(b"\n")
-                self._torn = True
-                break
-            payload += line
-        durable_append(self.path, payload)
+            line = self._header_line() + line
+        durable_append(self.path, line)
         self._header_written = True
-        self._pending.clear()
-        self._unsaved = 0
-        self._last_save = time.monotonic()
+
+    def flush(self) -> None:
+        """Nothing to do — every :meth:`record` is already on disk.
+        Kept so a run flushes the journal and the result cache alike
+        at its barriers."""

@@ -5,19 +5,23 @@ One :class:`DistributedSession` owns the whole distributed run:
 * a threaded TCP server speaking the JSON-line protocol
   (:mod:`repro.distribute.wire`) — one handler thread per connected
   worker, all mutating one lock-guarded :class:`ChunkQueue`;
-* the **fold**: every first-completion tally merges into its group via
-  ``MsedTally.merge`` exactly once (duplicates from stolen leases are
-  dropped), so the distributed result is byte-identical to ``jobs=1``
-  whatever the completion order, worker count, or failure history;
-* optional **checkpoints**: each fold is journalled through a
-  :class:`~repro.distribute.checkpoint.CheckpointJournal`, and tasks a
-  resumed journal already holds are answered from disk without ever
-  being queued;
+* **exactly-once delivery**: every chunk's first completion is handed
+  to the caller's ``on_result(task, tally)`` once (duplicates from
+  stolen leases are dropped), so the caller's fold — the campaign round
+  loop's, which also journals and caches — is byte-identical to
+  ``jobs=1`` whatever the completion order, worker count, or failure
+  history;
 * the **round barrier**: :meth:`run_tasks` is a batch call — submit,
-  wait for every fold, return ``{group: tally}`` — which is exactly the
-  synchronisation point the campaign round loop needs: the coordinator
-  process evaluates the stopping policy between batches and allocates
-  the next round (a fixed-trial run is a single batch).
+  deliver every result, return — which is exactly the synchronisation
+  point the campaign round loop needs: the coordinator process
+  evaluates the stopping policy between batches and allocates the next
+  round (a fixed-trial run is a single batch).
+
+The session owns no chunk store: checkpoint journals and result caches
+belong to the run
+(:class:`~repro.reliability.sampling.scheduler.CampaignRunner`), which
+consults them before dispatch, so a journalled or cached chunk never
+reaches the queue.
 
 Workers survive across batches: between rounds they poll and are told
 to idle, so an adaptive run pays connection setup once.
@@ -31,11 +35,10 @@ import sys
 import threading
 import time
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from repro import telemetry
 from repro.distribute.chaos import FaultPlan, resolve_chaos, spec_string
-from repro.distribute.checkpoint import CheckpointJournal, spec_fingerprint
 from repro.distribute.progress import Heartbeat
 from repro.distribute.queue import ChunkQueue
 from repro.distribute.wire import (
@@ -46,7 +49,7 @@ from repro.distribute.wire import (
     to_wire,
 )
 from repro.orchestrate.persist import atomic_write_json
-from repro.orchestrate.pool import ProgressCallback
+from repro.orchestrate.worker import spec_fingerprint
 from repro.reliability.metrics import MsedTally
 from repro.telemetry.log import log_line
 
@@ -64,20 +67,51 @@ PARTIAL_RESULTS_NAME = "partial-results.json"
 
 
 class DistributedInterrupted(RuntimeError):
-    """Raised by the forced-interrupt fault hook after the journal is
-    saved; a ``--resume`` run picks up from the checkpoint."""
+    """Raised by the forced-interrupt fault hook; every chunk folded so
+    far is already journalled, so a ``--resume`` run picks up from the
+    checkpoint."""
 
 
 class DistributedDegraded(RuntimeError):
     """The run could not finish — poison chunk, total fleet loss — but
-    everything already folded was preserved: the checkpoint journal is
-    flushed and a partial-results report is written next to it, so a
-    later ``--resume`` finishes the run instead of restarting it.
-    Surfaced by the CLI as exit code 4 (vs 3 for a plain interrupt)."""
+    everything already folded was preserved: the run that owns the
+    checkpoint journal calls :meth:`preserve`, which writes a
+    partial-results report next to it, so a later ``--resume`` finishes
+    the run instead of restarting it.  Surfaced by the CLI as exit code
+    4 (vs 3 for a plain interrupt)."""
 
-    def __init__(self, message: str, report_path: Path | None = None):
+    def __init__(self, message: str, report: dict):
         super().__init__(message)
-        self.report_path = report_path
+        #: The session's side of the partial-results report.
+        self.report = report
+        self.report_path: Path | None = None
+
+    def preserve(self, journal: Any | None) -> None:
+        """Publish the partial-results report next to ``journal`` (the
+        run's checkpoint journal, or ``None``) and say in the message
+        where it went."""
+        if journal is None:
+            note = (
+                "; no checkpoint journal was configured, so completed "
+                "chunks were not preserved (use --checkpoint-dir)"
+            )
+        else:
+            self.report_path = journal.path.parent / PARTIAL_RESULTS_NAME
+            atomic_write_json(
+                self.report_path,
+                {
+                    "version": 1,
+                    "key": journal.key,
+                    **self.report,
+                    "groups": journal.folded(),
+                    "resumable": True,
+                },
+            )
+            note = (
+                f"; partial results + checkpoint saved under "
+                f"{self.report_path.parent} — re-run with --resume to finish"
+            )
+        self.args = (self.args[0] + note,)
 
 
 class _WorkerServer(socketserver.ThreadingTCPServer):
@@ -148,7 +182,7 @@ class _WorkerHandler(socketserver.StreamRequestHandler):
 
 
 class DistributedSession:
-    """Coordinator lifecycle + the batch fold API (context manager).
+    """Coordinator lifecycle + the batch dispatch API (context manager).
 
     ``local_workers=N`` spawns N loopback worker subprocesses against
     the session's own ephemeral port — the full distributed path on one
@@ -162,8 +196,6 @@ class DistributedSession:
         *,
         local_workers: int = 0,
         backend: str | None = None,
-        checkpoint: CheckpointJournal | None = None,
-        cache: Any | None = None,
         lease_timeout: float = 60.0,
         heartbeat: Heartbeat | None = None,
         interrupt_after: int | None = None,
@@ -174,27 +206,21 @@ class DistributedSession:
         self.requested_port = port
         self.local_workers = local_workers
         self.backend = backend
-        self.checkpoint = checkpoint
-        #: Cross-run result cache (:class:`repro.distribute.cache.ResultCache`):
-        #: consulted after the checkpoint journal, fed by every computed
-        #: fold, flushed at barriers and close.
-        self.cache = cache
         self.lease_timeout = lease_timeout
         self.heartbeat = heartbeat
         if interrupt_after is None and os.environ.get(INTERRUPT_ENV):
             interrupt_after = int(os.environ[INTERRUPT_ENV])
         self.interrupt_after = interrupt_after
         self.poll_interval = poll_interval
-        # Parse eagerly so a bad spec fails at construction, and arm
-        # the coordinator-scoped plan (journal tearing) if a journal is
-        # attached.  Workers get their own plans, scoped by name.
+        # Parse eagerly so a bad spec fails at construction.  Workers
+        # get their own plans, scoped by name; the coordinator-scoped
+        # plan tears the journal of whatever run this session serves.
         self.chaos_spec = resolve_chaos(chaos)
-        if (
-            self.chaos_spec is not None
-            and self.checkpoint is not None
-            and self.checkpoint.chaos is None
-        ):
-            self.checkpoint.chaos = FaultPlan(self.chaos_spec, "coordinator")
+        self.journal_chaos = (
+            FaultPlan(self.chaos_spec, "coordinator")
+            if self.chaos_spec is not None
+            else None
+        )
 
         self._lock = threading.Lock()
         self._queue = ChunkQueue(lease_timeout=lease_timeout)
@@ -202,6 +228,7 @@ class DistributedSession:
         self._batch: dict[str, Any] | None = None
         self._attempt_errors: dict[int, list[str]] = {}
         self._error: str | None = None
+        self._fold_error: BaseException | None = None
         self._interrupted = False
         self._folds = 0
         self._group_trials: dict[Any, int] = {}
@@ -269,10 +296,6 @@ class DistributedSession:
             self._server.shutdown()
             self._server.server_close()
             self._server = None
-        if self.checkpoint is not None:
-            self.checkpoint.flush()
-        if self.cache is not None:
-            self.cache.flush()
 
     def __enter__(self) -> "DistributedSession":
         return self.open()
@@ -280,106 +303,81 @@ class DistributedSession:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    # -- the batch fold API (what run_sharded plugs into) ---------------
+    # -- the batch API (the campaign round loop's dispatch) -------------
 
     def run_tasks(
         self,
         tasks: Iterable[Any],
-        progress: ProgressCallback | None = None,
-    ) -> dict[Any, MsedTally]:
+        on_result: Callable[[Any, MsedTally], None],
+    ) -> None:
         """Run one batch of chunk tasks to completion; the round barrier.
 
-        Returns ``{group: folded tally}`` exactly like
-        :func:`repro.orchestrate.pool.run_sharded` — checkpointed chunks
-        fold from the journal, the rest fold as workers return them.
+        ``on_result(task, tally)`` fires once per task, on its first
+        completion, under the session lock — so it never runs
+        concurrently with itself — exactly like
+        :func:`repro.orchestrate.pool.map_unordered`'s ``on_result``.
+        An exception it raises aborts the batch and re-raises here.
         """
         task_list = list(tasks)
         with self._lock:
             if self._server is None or self._closed:
                 raise RuntimeError("session is not open")
-            results: dict[Any, MsedTally] = {}
             per_group: dict[Any, list[int]] = {}  # group -> [done, total]
             for task in task_list:
                 per_group.setdefault(task.group, [0, 0])[1] += 1
+                self._queue.add_task(task)
             self._batch = {
-                "results": results,
                 "per_group": per_group,
                 "total": len(task_list),
                 "done": 0,
-                "progress": progress,
+                "on_result": on_result,
             }
             self._batch_event.clear()
-            replayed = []
-            for task in task_list:
-                cached = (
-                    self.checkpoint.lookup(
-                        task.group, task.chunk, spec_fingerprint(task.spec)
-                    )
-                    if self.checkpoint is not None
-                    else None
-                )
-                if cached is None and self.cache is not None:
-                    # The cross-run cache answers what this run's
-                    # journal cannot; a hit still lands in the journal
-                    # so the run's own record stays complete.
-                    cached = self.cache.lookup(task.key, task.spec, task.chunk)
-                    if cached is not None and self.checkpoint is not None:
-                        self.checkpoint.record(
-                            task.group,
-                            task.chunk,
-                            cached,
-                            spec_fingerprint(task.spec),
+            self._fold_error = None
+            finished = not task_list
+        try:
+            while not finished:
+                self._batch_event.wait(timeout=0.1)
+                with self._lock:
+                    self._check_interrupt_locked()
+                    if self._fold_error is not None:
+                        error, self._fold_error = self._fold_error, None
+                        raise error
+                    if self._error is not None:
+                        message, self._error = self._error, None
+                        raise self._degrade_locked(
+                            f"distributed run failed: {message}"
                         )
-                if cached is not None:
-                    replayed.append((task, cached))
-                else:
-                    self._queue.add_task(task)
-            for task, cached in replayed:
-                self._fold_locked(task, cached, journal=False)
-            finished = self._batch["done"] >= self._batch["total"]
-        while not finished:
-            self._batch_event.wait(timeout=0.1)
+                    stolen = self._queue.reap_expired(time.monotonic())
+                    if stolen:
+                        telemetry.counter("lease.expired", stolen)
+                        telemetry.event("lease.expired", requeued=stolen)
+                        if self.heartbeat is not None:
+                            log_line(
+                                f"[progress] re-queued {stolen} expired "
+                                f"lease(s)",
+                                stream=self.heartbeat.stream,
+                            )
+                    if (
+                        self.worker_processes
+                        and not self._workers
+                        and not any(
+                            worker.is_alive()
+                            for worker in self.worker_processes
+                        )
+                    ):
+                        # A local fleet cannot grow back: with every spawned
+                        # worker dead and none connected, waiting is forever.
+                        # (A listen-mode session keeps waiting — external
+                        # workers may join at any time.)
+                        raise self._degrade_locked(
+                            "all local workers exited with work outstanding; "
+                            "see their stderr for the underlying failure"
+                        )
+                    finished = self._batch["done"] >= self._batch["total"]
+        finally:
             with self._lock:
-                self._check_interrupt_locked()
-                if self._error is not None:
-                    message, self._error = self._error, None
-                    raise self._degrade_locked(
-                        f"distributed run failed: {message}"
-                    )
-                stolen = self._queue.reap_expired(time.monotonic())
-                if stolen:
-                    telemetry.counter("lease.expired", stolen)
-                    telemetry.event("lease.expired", requeued=stolen)
-                    if self.heartbeat is not None:
-                        log_line(
-                            f"[progress] re-queued {stolen} expired lease(s)",
-                            stream=self.heartbeat.stream,
-                        )
-                if (
-                    self.worker_processes
-                    and not self._workers
-                    and not any(
-                        worker.is_alive() for worker in self.worker_processes
-                    )
-                ):
-                    # A local fleet cannot grow back: with every spawned
-                    # worker dead and none connected, waiting is forever.
-                    # (A listen-mode session keeps waiting — external
-                    # workers may join at any time.)
-                    raise self._degrade_locked(
-                        "all local workers exited with work outstanding; "
-                        "see their stderr for the underlying failure"
-                    )
-                finished = self._batch["done"] >= self._batch["total"]
-        with self._lock:
-            self._batch = None
-            if self.checkpoint is not None:
-                # The batch barrier is a durability point: anything the
-                # journal's rate limit held back lands now.
-                self.checkpoint.flush()
-            if self.cache is not None:
-                self.cache.flush()
-        return results
+                self._batch = None
 
     # -- message handling (worker threads) ------------------------------
 
@@ -441,9 +439,9 @@ class DistributedSession:
             if not self._queue.complete(task_id):
                 telemetry.counter("chunks.duplicate")
                 return  # duplicate from a stolen lease: fold exactly once
-            task = self._queue.tasks[task_id]
             self._fold_locked(
-                task, tally, journal=True, worker=worker, seconds=seconds
+                self._queue.tasks[task_id], tally, worker=worker,
+                seconds=seconds,
             )
 
     def _take_failure(self, task_id: int, error: str) -> None:
@@ -532,50 +530,43 @@ class DistributedSession:
         self,
         task: Any,
         tally: MsedTally,
-        journal: bool,
         worker: str | None = None,
         seconds: float | None = None,
     ) -> None:
         batch = self._batch
-        if batch is None:  # pragma: no cover - late result after barrier
+        if batch is None or self._fold_error is not None:
+            return  # late result after the batch ended or failed
+        try:
+            batch["on_result"](task, tally)
+        except BaseException as exc:
+            # Surface it in the thread that called run_tasks, not in
+            # this worker's handler thread.
+            self._fold_error = exc
+            self._batch_event.set()
             return
-        held = batch["results"].get(task.group)
-        if held is None:
-            batch["results"][task.group] = MsedTally().merge(tally)
-        else:
-            held.merge(tally)
-        if journal:
-            self._folds += 1
-            telemetry.counter("chunks.computed", group=str(task.group))
-            telemetry.record_spec(task.group, spec_fingerprint(task.spec))
-            if seconds is not None:
-                # The worker timed its own decode; surface it as the
-                # same ``decode_chunk`` span the in-process path emits
-                # so the report's slowest-points table covers both.
-                telemetry.histogram(
-                    "span.decode_chunk",
-                    seconds,
-                    point=str(task.group),
-                    worker=worker or "?",
-                )
-                telemetry.event(
-                    "span",
-                    name="decode_chunk",
-                    seconds=round(seconds, 6),
-                    attrs={
-                        "point": str(task.group),
-                        "worker": worker or "?",
-                        "trials": tally.trials,
-                    },
-                )
-            if self.checkpoint is not None:
-                self.checkpoint.record(
-                    task.group, task.chunk, tally, spec_fingerprint(task.spec)
-                )
-            if self.cache is not None:
-                self.cache.record(task.key, task.spec, task.chunk, tally)
-        else:
-            telemetry.counter("chunks.replayed", group=str(task.group))
+        self._folds += 1
+        telemetry.counter("chunks.computed", group=str(task.group))
+        telemetry.record_spec(task.group, spec_fingerprint(task.spec))
+        if seconds is not None:
+            # The worker timed its own decode; surface it as the same
+            # ``decode_chunk`` span the in-process path emits so the
+            # report's slowest-points table covers both.
+            telemetry.histogram(
+                "span.decode_chunk",
+                seconds,
+                point=str(task.group),
+                worker=worker or "?",
+            )
+            telemetry.event(
+                "span",
+                name="decode_chunk",
+                seconds=round(seconds, 6),
+                attrs={
+                    "point": str(task.group),
+                    "worker": worker or "?",
+                    "trials": tally.trials,
+                },
+            )
         batch["done"] += 1
         stats = batch["per_group"][task.group]
         stats[0] += 1
@@ -591,8 +582,6 @@ class DistributedSession:
                 batch["done"],
                 batch["total"],
             )
-        if batch["progress"] is not None:
-            batch["progress"](batch["done"], batch["total"])
         if batch["done"] >= batch["total"]:
             self._batch_event.set()
         if (
@@ -602,10 +591,11 @@ class DistributedSession:
             self._batch_event.set()
 
     def _degrade_locked(self, message: str) -> DistributedDegraded:
-        """Build the graceful-degradation exit (lock held): flush the
-        journal, write the durable partial-results report, and return
-        the exception for the caller to raise.  Everything folded so
-        far survives; ``--resume`` finishes the run later."""
+        """Build the graceful-degradation exit (lock held) for the
+        caller to raise.  Everything folded so far is already in the
+        run's journal; :meth:`DistributedDegraded.preserve` publishes
+        the partial results next to it, and ``--resume`` finishes the
+        run later."""
         telemetry.event(
             "run.degraded",
             reason=message,
@@ -613,39 +603,20 @@ class DistributedSession:
             rejoins=self.rejoins,
             protocol_errors=self.protocol_errors,
         )
-        report_path = None
-        if self.checkpoint is not None:
-            self.checkpoint.flush()
-            batch = self._batch or {}
-            report_path = self.checkpoint.path.parent / PARTIAL_RESULTS_NAME
-            atomic_write_json(
-                report_path,
-                {
-                    "version": 1,
-                    "key": self.checkpoint.key,
-                    "reason": message,
-                    "batch": {
-                        "done": batch.get("done", 0),
-                        "total": batch.get("total", 0),
-                    },
-                    "requeues": self._queue.requeues,
-                    "rejoins": self.rejoins,
-                    "protocol_errors": self.protocol_errors,
-                    "groups": self.checkpoint.folded(),
-                    "resumable": True,
+        batch = self._batch or {}
+        return DistributedDegraded(
+            message,
+            report={
+                "reason": message,
+                "batch": {
+                    "done": batch.get("done", 0),
+                    "total": batch.get("total", 0),
                 },
-            )
-            message += (
-                f"; partial results + checkpoint saved under "
-                f"{report_path.parent} — re-run with --resume to finish"
-            )
-        else:
-            message += (
-                "; no checkpoint journal was configured, so completed "
-                "chunks were not preserved (use --checkpoint-dir)"
-            )
-        self._batch = None
-        return DistributedDegraded(message, report_path=report_path)
+                "requeues": self._queue.requeues,
+                "rejoins": self.rejoins,
+                "protocol_errors": self.protocol_errors,
+            },
+        )
 
     def _check_interrupt_locked(self) -> None:
         if (
@@ -654,13 +625,6 @@ class DistributedSession:
             and self._folds >= self.interrupt_after
         ):
             self._interrupted = True
-            if self.checkpoint is not None:
-                self.checkpoint.flush()
             raise DistributedInterrupted(
                 f"forced interrupt after {self._folds} folded chunks"
-                + (
-                    f"; checkpoint saved to {self.checkpoint.path}"
-                    if self.checkpoint is not None
-                    else ""
-                )
             )

@@ -64,6 +64,8 @@ def frontier(
     trial_budget: int | None = None,
     cache_dir: str | None = None,
     scenario: str = "msed",
+    checkpoint_dir: str | None = None,
+    resume: bool = False,
 ) -> list[FrontierPoint]:
     # One campaign for all 12 runs (full + ablated per point): one
     # shared pool per round, not a pool spin-up per design point.
@@ -90,6 +92,7 @@ def frontier(
         simulators, trials, seed, jobs, chunk_size, progress_cb,
         adaptive=adaptive, executor=executor, group_ns="frontier",
         trial_budget=trial_budget, cache_dir=cache_dir,
+        checkpoint_dir=checkpoint_dir, resume=resume,
     )
     points = []
     for index, (extra_bits, code) in enumerate(codes):
@@ -135,6 +138,8 @@ def k_sweep(
     trial_budget: int | None = None,
     cache_dir: str | None = None,
     scenario: str = "msed",
+    checkpoint_dir: str | None = None,
+    resume: bool = False,
 ) -> list[KSweepPoint]:
     from repro.core.codes import muse_144_132
 
@@ -163,6 +168,7 @@ def k_sweep(
         simulators, trials, seed, jobs, chunk_size, progress_cb,
         adaptive=adaptive, executor=executor, group_ns="k-sweep",
         trial_budget=trial_budget, cache_dir=cache_dir,
+        checkpoint_dir=checkpoint_dir, resume=resume,
     )
     return [
         KSweepPoint(
@@ -250,8 +256,9 @@ def main(
     trials = DEFAULT_TRIALS if trials is None else trials
     seed = DEFAULT_SEED if seed is None else seed
     policy = policy_from_cli(ci_target, max_trials) if adaptive else None
-    # One session serves both studies (the group namespaces keep their
-    # fold groups and checkpoint entries apart).
+    # One session and one checkpoint journal serve both studies (the
+    # group namespaces keep their fold groups and journal entries
+    # apart): the k-sweep continues the journal the frontier opened.
     with telemetry_session(
         telemetry_dir,
         experiment="ablation-frontier",
@@ -261,13 +268,7 @@ def main(
         adaptive=policy is not None,
         distribute=distribute,
     ), execution_context(
-        distribute,
-        seed=seed,
-        checkpoint_dir=checkpoint_dir,
-        resume=resume,
-        backend=backend,
-        progress=progress,
-        cache_dir=cache_dir,
+        distribute, backend=backend, progress=progress
     ) as (executor, progress_cb):
         report = render(
             frontier(
@@ -275,12 +276,15 @@ def main(
                 chunk_size=chunk_size, adaptive=policy, executor=executor,
                 progress_cb=progress_cb, trial_budget=trial_budget,
                 cache_dir=cache_dir, scenario=scenario,
+                checkpoint_dir=checkpoint_dir, resume=resume,
             ),
             k_sweep(
                 trials, seed, backend=backend, jobs=jobs,
                 chunk_size=chunk_size, adaptive=policy, executor=executor,
                 progress_cb=progress_cb, trial_budget=trial_budget,
                 cache_dir=cache_dir, scenario=scenario,
+                checkpoint_dir=checkpoint_dir,
+                resume=checkpoint_dir is not None,
             ),
         )
     if scenario != "msed":

@@ -95,6 +95,8 @@ def msed_sweep(
     trial_budget: int | None = None,
     cache_dir: str | None = None,
     scenario: str = "msed",
+    checkpoint_dir: str | None = None,
+    resume: bool = False,
 ) -> list[ShuffleMsedRow]:
     """Monte-Carlo MSED across the 80-bit design points, per layout.
 
@@ -123,7 +125,7 @@ def msed_sweep(
         simulators, trials, seed, jobs=jobs, chunk_size=chunk_size,
         progress=progress_cb, adaptive=adaptive, executor=executor,
         group_ns="shuffle-msed", trial_budget=trial_budget,
-        cache_dir=cache_dir,
+        cache_dir=cache_dir, checkpoint_dir=checkpoint_dir, resume=resume,
     )
     rows = []
     for (code, _), result, outcome in zip(points, results, outcomes):
@@ -214,13 +216,7 @@ def main(
         adaptive=bool(adaptive),
         distribute=distribute,
     ), execution_context(
-        distribute,
-        seed=seed,
-        checkpoint_dir=checkpoint_dir,
-        resume=resume,
-        backend=backend,
-        progress=progress,
-        cache_dir=cache_dir,
+        distribute, backend=backend, progress=progress
     ) as (executor, progress_cb):
         rows = msed_sweep(
             DEFAULT_TRIALS if trials is None else trials,
@@ -236,6 +232,8 @@ def main(
             trial_budget=trial_budget,
             cache_dir=cache_dir,
             scenario=scenario,
+            checkpoint_dir=checkpoint_dir,
+            resume=resume,
         )
     report = "\n\n".join([render(sweep()), render_msed(rows)])
     if scenario != "msed":

@@ -187,13 +187,7 @@ def build(
         distribute=distribute,
     ) as tel:
         with execution_context(
-            distribute,
-            seed=seed,
-            checkpoint_dir=checkpoint_dir,
-            resume=resume,
-            backend=backend,
-            progress=progress,
-            cache_dir=cache_dir,
+            distribute, backend=backend, progress=progress
         ) as (executor, progress_cb):
             table = build_table_iv(
                 trials=DEFAULT_TRIALS if trials is None else trials,
@@ -208,6 +202,8 @@ def build(
                 trial_budget=trial_budget,
                 cache_dir=cache_dir,
                 scenario=scenario,
+                checkpoint_dir=checkpoint_dir,
+                resume=resume,
             )
         if tel is not None:
             tel.attach_summary(details(table))

@@ -12,9 +12,10 @@ studies past one process while keeping memory flat in trial count:
   generators for both code families;
 * :mod:`~repro.orchestrate.worker` / :mod:`~repro.orchestrate.pool` —
   picklable :class:`ChunkTask` specs, the per-worker runner cache,
-  :func:`map_unordered`, the one serial-or-pool chunk dispatch the
-  campaign round loop uses, and :func:`run_sharded`, which folds a
-  task list's mergeable tallies by group;
+  :func:`map_unordered`, the one serial-or-pool fan-out (the campaign
+  round loop dispatches through it as a ``LocalExecutor``), and
+  :func:`run_sharded`, which folds a task list's mergeable tallies by
+  group;
 * :mod:`~repro.orchestrate.sweep` — :func:`run_all`, the concurrent
   ``repro-muse all`` sweep with captured reports and a results
   directory.

@@ -19,8 +19,13 @@ import json
 import os
 import tempfile
 import zlib
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
+
+#: Quarantine suffix for a damaged append-only file (it sits next to
+#: the healed rewrite so the evidence survives for post-mortems).
+CORRUPT_SUFFIX = ".corrupt"
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
@@ -102,3 +107,64 @@ def durable_append(path: str | Path, data: bytes) -> None:
         handle.write(data)
         handle.flush()
         os.fsync(handle.fileno())
+
+
+@dataclass(frozen=True)
+class SalvageReport:
+    """What healing a damaged append-only file kept and dropped."""
+
+    records_kept: int
+    lines_dropped: int
+    corrupt_path: Path
+
+
+def read_crc_lines(path: str | Path) -> list[bytes]:
+    """The lines of a CRC'd append-only file.
+
+    A well-formed final newline ends the last line instead of starting
+    an empty one; interior blank lines stay, so they count as damage.
+    """
+    lines = Path(path).read_bytes().split(b"\n")
+    if lines[-1] == b"":
+        lines.pop()
+    return lines
+
+
+def salvage_crc_prefix(
+    path: str | Path, lines: list[bytes], adopt: Callable[[dict], bool]
+) -> SalvageReport | None:
+    """Adopt the valid record prefix of a CRC'd file, healing the rest.
+
+    ``lines[0]`` is the file's header, already validated by the caller.
+    Every later line is CRC-checked and handed to ``adopt`` in order;
+    the first one that is torn, corrupt, or refused (``adopt`` returns
+    ``False``) ends the prefix.  If that drops anything, the file is
+    healed by :func:`quarantine` before anything can be appended after
+    the damage.  Returns ``None`` when the file was intact.
+    """
+    kept = 1
+    for line in lines[1:]:
+        record = decode_crc_line(line)
+        if record is None or not adopt(record):
+            break
+        kept += 1
+    if kept == len(lines):
+        return None
+    return quarantine(path, lines[:kept], dropped=len(lines) - kept)
+
+
+def quarantine(
+    path: str | Path, keep: list[bytes], dropped: int
+) -> SalvageReport:
+    """Move a damaged file aside as a ``.corrupt`` sidecar and
+    atomically rewrite ``keep`` (its header, then its valid records) in
+    its place, so later appends land on a well-formed file."""
+    path = Path(path)
+    corrupt_path = path.with_name(path.name + CORRUPT_SUFFIX)
+    os.replace(path, corrupt_path)
+    atomic_write_text(path, b"".join(line + b"\n" for line in keep).decode())
+    return SalvageReport(
+        records_kept=len(keep) - 1,
+        lines_dropped=dropped,
+        corrupt_path=corrupt_path,
+    )

@@ -3,13 +3,15 @@
 :func:`map_unordered` is the one serial-or-pool fan-out: it runs a
 function over tasks — in process for ``jobs <= 1``, across a
 :class:`ProcessPoolExecutor` otherwise — and hands each result back to
-the parent as it completes.  The campaign round loop
+the parent as it completes.  :class:`LocalExecutor` wraps it in the
+executor contract a distributed session also implements,
+``run_tasks(tasks, on_result)``, so the campaign round loop
 (:class:`~repro.reliability.sampling.scheduler.CampaignRunner`, which
-every Table IV-style run goes through) dispatches its uncached chunks
-with it directly, so it can fold, cache and report each chunk as it
-lands.  ``run_sharded(tasks, jobs)`` is the plain fold on top: it
-executes every :class:`ChunkTask` and folds each task's tally into its
-group via ``merge``.
+every Table IV-style run goes through) dispatches its chunks one way
+and folds, journals, caches and reports each chunk as it lands.
+``run_sharded(tasks, jobs)`` is the plain fold on top of
+:func:`map_unordered`: it executes every :class:`ChunkTask` and folds
+each task's tally into its group via ``merge``.
 
 Because every tally merge is plain integer addition (associative and
 commutative) and every chunk's content is a pure function of
@@ -25,6 +27,7 @@ materialisation.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.orchestrate.worker import ChunkTask, run_chunk_task
@@ -83,25 +86,40 @@ def map_unordered(
             raise
 
 
+@dataclass(frozen=True)
+class LocalExecutor:
+    """Chunk dispatch on this host: in process for ``jobs <= 1``,
+    across a process pool otherwise.
+
+    ``run_tasks(tasks, on_result)`` calls ``on_result(task, tally)``
+    once per task, in completion order, on the calling thread — the
+    contract :class:`repro.distribute.DistributedSession` implements
+    for remote workers.
+    """
+
+    jobs: int = 1
+
+    def run_tasks(
+        self, tasks: Iterable[ChunkTask], on_result: Callable[[Any, Any], None]
+    ) -> None:
+        map_unordered(
+            run_chunk_task,
+            tasks,
+            self.jobs,
+            on_result=lambda task, pair: on_result(task, pair[1]),
+        )
+
+
 def run_sharded(
     tasks: Iterable[ChunkTask],
     jobs: int = 1,
     progress: ProgressCallback | None = None,
-    executor: Any | None = None,
 ) -> dict[Any, Any]:
     """Run every chunk task and return ``{group: folded tally}``.
 
     Folding is plain integer addition, so the result is independent of
     completion order and of ``jobs``.
-
-    ``executor`` overrides the serial/pool paths with any object
-    exposing ``run_tasks(tasks, progress) -> {group: tally}`` under the
-    same exactly-once fold contract — in practice a
-    :class:`repro.distribute.DistributedSession`, which fans the tasks
-    over remote worker processes instead of a local pool.
     """
-    if executor is not None:
-        return executor.run_tasks(list(tasks), progress)
     results: dict[Any, Any] = {}
     map_unordered(
         run_chunk_task,

@@ -24,6 +24,7 @@ executes; :mod:`repro.orchestrate.pool` folds its results by group.
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 from dataclasses import dataclass, fields
 from typing import Any, ClassVar
@@ -166,6 +167,20 @@ def group_labels(count: int, group_ns: "str | None") -> list:
     if group_ns is None:
         return list(range(count))
     return [f"{group_ns}:{index}" for index in range(count)]
+
+
+def spec_fingerprint(spec: Any) -> str:
+    """What must match for a stored chunk tally to be reusable.
+
+    The spec's structural repr, minus the decode backend: every backend
+    tallies byte-identically, so a checkpoint journal or result-cache
+    cell written on one backend is served to any other — but a changed
+    code, ``k_symbols`` or decode policy must refuse, not silently fold
+    chunks of a different experiment.
+    """
+    if dataclasses.is_dataclass(spec) and hasattr(spec, "backend"):
+        spec = dataclasses.replace(spec, backend="any")
+    return repr(spec)
 
 
 @dataclass(frozen=True)

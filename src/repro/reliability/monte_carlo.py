@@ -31,9 +31,11 @@ Every run — fixed or adaptive, in process, pooled (``jobs=N``) or
 distributed — goes through the one campaign round loop
 (:class:`~repro.reliability.sampling.scheduler.CampaignRunner`); a
 fixed ``T``-trial run is the one-round campaign of
-:func:`fixed_policy`.  For a fixed master seed the folded tally is
-byte-identical for every ``(chunk_size, jobs)`` combination and across
-decode backends.
+:func:`fixed_policy`.  So every run can journal its chunks to a
+``checkpoint_dir`` and ``resume`` from it, and fold completed cells
+from a ``cache_dir`` result cache.  For a fixed master seed the folded
+tally is byte-identical for every ``(chunk_size, jobs)`` combination
+and across decode backends.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from repro.orchestrate.corruption import scenario_chunk
 from repro.orchestrate.family import family_of
 from repro.orchestrate.plan import Chunk
 from repro.orchestrate.pool import ProgressCallback
+from repro.orchestrate.rng import derive_key
 from repro.orchestrate.worker import CodeRef, MuseSimSpec, RsSimSpec, task_spec
 from repro.reliability.metrics import (
     DesignPoint,
@@ -89,11 +92,14 @@ class MsedSimulator:
         chunk_size: int | None = None,
         progress: ProgressCallback | None = None,
         executor=None,
+        checkpoint_dir: str | None = None,
+        resume: bool = False,
     ) -> MsedResult:
         """One simulator's run is the single-point case of the shared
         design-point grid runner."""
         return run_design_points(
-            [self], trials, seed, jobs, chunk_size, progress, executor
+            [self], trials, seed, jobs, chunk_size, progress, executor,
+            checkpoint_dir=checkpoint_dir, resume=resume,
         )[0]
 
     def run_chunk(self, chunk: Chunk, key: int) -> MsedTally:
@@ -274,6 +280,8 @@ def run_design_points(
     progress: ProgressCallback | None = None,
     executor=None,
     group_ns: str | None = None,
+    checkpoint_dir: str | None = None,
+    resume: bool = False,
 ) -> list[MsedResult]:
     """Run every simulator for ``trials`` trials at one master seed.
 
@@ -288,6 +296,7 @@ def run_design_points(
     return run_design_points_with_outcomes(
         simulators, trials, seed, jobs, chunk_size, progress,
         executor=executor, group_ns=group_ns,
+        checkpoint_dir=checkpoint_dir, resume=resume,
     )[0]
 
 
@@ -302,6 +311,8 @@ def run_design_points_adaptive(
     group_ns: str | None = None,
     trial_budget: int | None = None,
     cache_dir: str | None = None,
+    checkpoint_dir: str | None = None,
+    resume: bool = False,
 ) -> list[CampaignOutcome]:
     """Run every simulator as one campaign under ``policy``.
 
@@ -315,6 +326,12 @@ def run_design_points_adaptive(
     with ``simulators`` and independent of ``jobs``/``chunk_size``/
     backend at a fixed seed (including each point's ``trials_used``) —
     allocation is a pure function of the folded tallies.
+
+    This is where a run's chunk stores are opened, whatever the
+    executor: ``checkpoint_dir`` holds its checkpoint journal
+    (``resume`` continues an existing one) and ``cache_dir`` the
+    cross-run result cache.  A distributed run that degrades leaves its
+    partial results next to the journal.
     """
     if isinstance(policy, CampaignPolicy):
         campaign = policy
@@ -322,11 +339,17 @@ def run_design_points_adaptive(
         campaign = CampaignPolicy(base=policy)
     if trial_budget is not None:
         campaign = dataclasses.replace(campaign, trial_budget=trial_budget)
-    cache = None
-    if cache_dir is not None and executor is None:
-        # Distributed runs attach the cache to the session (the
-        # coordinator owns all folds there); in-process runs own it
-        # here.
+    journal = cache = None
+    if checkpoint_dir is not None:
+        from repro.distribute.checkpoint import CheckpointJournal
+
+        journal = CheckpointJournal.open(
+            checkpoint_dir,
+            key=derive_key(seed),
+            resume=resume,
+            chaos=getattr(executor, "journal_chaos", None),
+        )
+    if cache_dir is not None:
         from repro.distribute.cache import ResultCache
 
         cache = ResultCache(cache_dir)
@@ -334,13 +357,25 @@ def run_design_points_adaptive(
         campaign,
         cache=cache,
         heartbeat=getattr(executor, "heartbeat", None),
+        journal=journal,
     )
-    outcomes = runner.run(
-        simulators, seed, jobs, chunk_size, progress, executor, group_ns
-    )
-    if cache is not None:
-        cache.flush()
-    return outcomes
+    degraded: tuple = ()  # only a distributed session degrades
+    if executor is not None:
+        from repro.distribute.coordinator import DistributedDegraded
+
+        degraded = (DistributedDegraded,)
+    try:
+        return runner.run(
+            simulators, seed, jobs, chunk_size, progress, executor, group_ns
+        )
+    except degraded as exc:
+        exc.preserve(journal)
+        raise
+    finally:
+        # However the run ends, what it folded is on disk.
+        for store in (journal, cache):
+            if store is not None:
+                store.flush()
 
 
 def run_design_points_with_outcomes(
@@ -355,6 +390,8 @@ def run_design_points_with_outcomes(
     group_ns: str | None = None,
     trial_budget: int | None = None,
     cache_dir: str | None = None,
+    checkpoint_dir: str | None = None,
+    resume: bool = False,
 ) -> "tuple[list[MsedResult], list[CampaignOutcome | None]]":
     """The one fixed-vs-adaptive dispatch every experiment shares.
 
@@ -363,7 +400,8 @@ def run_design_points_with_outcomes(
     (``adaptive is None``), so callers render trial counts and
     convergence flags from one shape.  Both kinds run as a campaign
     (a fixed run as the one round of :func:`fixed_policy`) and honour
-    ``cache_dir``; ``trial_budget`` only applies to adaptive runs.
+    ``cache_dir`` and ``checkpoint_dir``/``resume``; ``trial_budget``
+    only applies to adaptive runs.
     """
     fixed = adaptive is None
     if fixed and trials == 0:
@@ -374,7 +412,7 @@ def run_design_points_with_outcomes(
     outcomes = run_design_points_adaptive(
         simulators, fixed_policy(trials) if fixed else adaptive, seed, jobs,
         chunk_size, progress, executor, group_ns,
-        None if fixed else trial_budget, cache_dir,
+        None if fixed else trial_budget, cache_dir, checkpoint_dir, resume,
     )
     results = [outcome.result for outcome in outcomes]
     return results, [None] * len(results) if fixed else list(outcomes)
@@ -394,6 +432,8 @@ def build_table_iv(
     trial_budget: int | None = None,
     cache_dir: str | None = None,
     scenario: str = "msed",
+    checkpoint_dir: str | None = None,
+    resume: bool = False,
 ) -> TableIV:
     """Run every design point and assemble the paper's Table IV.
 
@@ -410,6 +450,8 @@ def build_table_iv(
     target each round), optionally capped by ``trial_budget`` and
     served from the ``cache_dir`` result cache, and every
     :class:`DesignPoint` carries its campaign outcome in ``.sampling``.
+    Fixed or adaptive, ``checkpoint_dir`` journals every chunk and
+    ``resume`` replays an earlier journal.
 
     ``scenario`` swaps the injected corruption stream for any
     registered fault scenario (:mod:`repro.scenarios`) — same grid,
@@ -449,6 +491,7 @@ def build_table_iv(
     results, outcomes = run_design_points_with_outcomes(
         simulators, trials, seed, jobs, chunk_size, progress, adaptive,
         executor, trial_budget=trial_budget, cache_dir=cache_dir,
+        checkpoint_dir=checkpoint_dir, resume=resume,
     )
 
     table = TableIV()

@@ -29,11 +29,16 @@ How a round is allocated:
   (:mod:`~repro.reliability.sampling.splitting`), which bounds the
   tail without needing events in the plain stream.
 
-Within a round, cache hits fold in place and every miss is one chunk
-task: a distributed executor's ``run_tasks`` runs them as the round
-barrier, and otherwise :func:`~repro.orchestrate.pool.map_unordered`
-runs them in process (``jobs <= 1``) or across a process pool, folding,
-caching and reporting progress once per chunk as each lands.
+Within a round, every chunk is first looked up in the run's
+checkpoint journal, then in the result cache (a cache hit is journalled
+too); hits fold in place and every miss is one chunk task.  One
+executor runs the tasks as the round barrier — a distributed session,
+or :class:`~repro.orchestrate.pool.LocalExecutor` in process
+(``jobs <= 1``) or across a process pool — and hands each chunk's tally
+to the runner's one fold, which merges it, journals it, caches it and
+reports progress.  Both stores flush at every round barrier and when
+the run ends, however it ends, so an interrupted run resumes from its
+journal whichever executor ran it.
 
 Determinism contract (same as every other runner in this repo): the
 allocation is a **pure function of the folded tallies** — never of
@@ -44,9 +49,9 @@ so ``trials_used`` and every tally are byte-identical across
 ``(chunk_size, jobs, workers)`` and backends at a fixed seed.
 
 This module deliberately imports nothing from ``repro.distribute``:
-the optional result cache and progress heartbeat are duck-typed
-(``lookup``/``record`` and ``allocation`` respectively) so the
-scheduler stays importable from the bottom of the package graph.
+the optional checkpoint journal, result cache and progress heartbeat
+are duck-typed (``lookup``/``record``/``flush`` and ``allocation``) so
+the scheduler stays importable from the bottom of the package graph.
 (:mod:`repro.telemetry` sits below ``repro.distribute`` in that graph
 — it only imports ``repro.orchestrate.persist`` — so the campaign
 events emitted here keep that property.)
@@ -60,9 +65,9 @@ from typing import Any, Callable, Sequence
 
 from repro import telemetry
 from repro.orchestrate.plan import plan_chunk_range
-from repro.orchestrate.pool import map_unordered
+from repro.orchestrate.pool import LocalExecutor
 from repro.orchestrate.rng import derive_key
-from repro.orchestrate.worker import ChunkTask, group_labels, run_chunk_task
+from repro.orchestrate.worker import ChunkTask, group_labels, spec_fingerprint
 from repro.reliability.metrics import MsedResult, MsedTally
 from repro.reliability.sampling.intervals import Interval
 from repro.reliability.sampling.sequential import AdaptivePolicy
@@ -314,17 +319,21 @@ def _splitting_estimator(simulator: Any) -> Any | None:
 class CampaignRunner:
     """Run a whole sweep under one :class:`CampaignPolicy`.
 
-    ``cache`` is any object with ``lookup(key, spec, chunk) ->
-    MsedTally | None`` and ``record(key, spec, chunk, tally)`` (the
-    distribute layer's ``ResultCache``); ``heartbeat`` is any object
-    with ``allocation(round_no, entries)`` (the distribute layer's
-    ``Heartbeat``).  Both are optional and duck-typed so this module
-    never imports ``repro.distribute``.
+    ``journal`` is any object with ``lookup(group, chunk, fingerprint)
+    -> MsedTally | None``, ``record(group, chunk, tally, fingerprint)``
+    and ``flush()`` (the distribute layer's ``CheckpointJournal``);
+    ``cache`` is any object with ``lookup(key, spec, chunk) -> MsedTally
+    | None``, ``record(key, spec, chunk, tally)`` and ``flush()`` (its
+    ``ResultCache``); ``heartbeat`` is any object with
+    ``allocation(round_no, entries)`` (its ``Heartbeat``).  All are
+    optional and duck-typed so this module never imports
+    ``repro.distribute``.
     """
 
     policy: CampaignPolicy = field(default_factory=CampaignPolicy)
     cache: Any | None = None
     heartbeat: Any | None = None
+    journal: Any | None = None
 
     def run(
         self,
@@ -348,19 +357,38 @@ class CampaignRunner:
         escalated = [False] * count
         cached_trials = [0] * count
         budget_left = self.policy.trial_budget
+        journal, cache = self.journal, self.cache
         # Chunks that leave this process (pool or distributed) carry
         # picklable specs; in-process chunks carry the live simulator.
-        # The result cache keys its cells by spec fingerprint.
+        # Both stores key their entries by spec fingerprint.
         remote = jobs > 1 or executor is not None
         specs = (
             [sim._task_spec() for sim in simulators]
-            if remote or self.cache is not None
+            if remote or journal is not None or cache is not None
             else None
         )
+        if journal is not None:
+            fingerprints = [spec_fingerprint(spec) for spec in specs]
         runners = specs if remote else list(simulators)
         index_of = {group: i for i, group in enumerate(groups)}
+        if executor is None:
+            executor = LocalExecutor(jobs)
 
-        done = 0  # chunks executed across all rounds so far
+        done = total = 0  # chunks executed (and to execute) so far
+
+        def fold(task: ChunkTask, tally: MsedTally) -> None:
+            """Every executed chunk's tally lands here exactly once."""
+            nonlocal done
+            i = index_of[task.group]
+            tallies[i].merge(tally)
+            if journal is not None:
+                journal.record(task.group, task.chunk, tally, fingerprints[i])
+            if cache is not None:
+                cache.record(key, specs[i], task.chunk, tally)
+            done += 1
+            if progress is not None:
+                progress(done, total)
+
         round_no = 0
         while True:
             views = [
@@ -412,7 +440,9 @@ class CampaignRunner:
                         ],
                     )
 
-            # Cache hits fold in place; every miss becomes a task.
+            # The journal answers first, then the cache (a cache hit
+            # is journalled too, so the run's own record stays
+            # complete); hits fold in place, every miss is a task.
             pending: list[ChunkTask] = []
             for alloc in allocations:
                 i = alloc.index
@@ -420,52 +450,32 @@ class CampaignRunner:
                     trials[i], trials[i] + alloc.trials, chunk_size
                 )
                 for chunk in chunks:
-                    held = (
-                        self.cache.lookup(key, specs[i], chunk)
-                        if self.cache is not None
-                        else None
-                    )
-                    if held is not None:
-                        tallies[i].merge(held)
-                        cached_trials[i] += held.trials
-                    else:
+                    held = None
+                    if journal is not None:
+                        held = journal.lookup(
+                            groups[i], chunk, fingerprints[i]
+                        )
+                    if held is None and cache is not None:
+                        held = cache.lookup(key, specs[i], chunk)
+                        if held is not None:
+                            cached_trials[i] += held.trials
+                            if journal is not None:
+                                journal.record(
+                                    groups[i], chunk, held, fingerprints[i]
+                                )
+                    if held is None:
                         pending.append(
                             ChunkTask(groups[i], runners[i], chunk, key)
                         )
+                    else:
+                        tallies[i].merge(held)
                 trials[i] += alloc.trials
                 rounds[i] += 1
                 if budget_left is not None:
                     budget_left -= alloc.trials
 
             total = done + len(pending)
-            if executor is not None:
-                # The session is the round barrier: it folds (and
-                # journals and caches) each chunk exactly once.
-                base_done = done
-
-                def tick(finished: int, _batch_total: int) -> None:
-                    progress(base_done + finished, total)
-
-                folded = executor.run_tasks(
-                    pending, tick if progress is not None else None
-                )
-                for group, tally in folded.items():
-                    tallies[index_of[group]].merge(tally)
-                done = total
-            else:
-
-                def fold(task: ChunkTask, result: tuple) -> None:
-                    nonlocal done
-                    i = index_of[task.group]
-                    _, tally = result
-                    tallies[i].merge(tally)
-                    if self.cache is not None:
-                        self.cache.record(key, specs[i], task.chunk, tally)
-                    done += 1
-                    if progress is not None:
-                        progress(done, total)
-
-                map_unordered(run_chunk_task, pending, jobs, on_result=fold)
+            executor.run_tasks(pending, fold)
 
             for alloc in allocations:
                 i = alloc.index
@@ -486,8 +496,10 @@ class CampaignRunner:
                         trials=trials[i],
                     )
 
-            if self.cache is not None:
-                self.cache.flush()
+            # The round barrier is a durability point.
+            for store in (journal, cache):
+                if store is not None:
+                    store.flush()
 
         tail_bounds: list[Any | None] = [None] * count
         escalations = ["importance splitting"] * count

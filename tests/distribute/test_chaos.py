@@ -39,8 +39,6 @@ from repro.distribute.chaos import (
     plan_for,
 )
 from repro.orchestrate import CodeRef, derive_key
-from repro.orchestrate.plan import Chunk
-from repro.orchestrate.worker import ChunkTask, MuseSimSpec
 from repro.reliability.monte_carlo import MuseMsedSimulator
 
 SEED = 5
@@ -226,24 +224,22 @@ class TestChaosParity:
         serial = sim.run(600, seed=SEED, chunk_size=50)
         key = derive_key(SEED)
         with DistributedSession(
-            local_workers=1,
-            checkpoint=CheckpointJournal.open(tmp_path, key),
-            chaos="journal=@2",
+            local_workers=1, chaos="journal=@2"
         ) as session:
             chaotic = sim.run(600, seed=SEED, chunk_size=50,
-                              executor=session)
+                              executor=session, checkpoint_dir=tmp_path)
         assert chaotic == serial  # the tear broke durability, not folds
 
         journal = CheckpointJournal.open(tmp_path, key, resume=True)
         assert journal.salvage is not None
         assert journal.salvage.records_kept == 1  # prefix before the tear
         assert journal.salvage.corrupt_path.exists()
-        with DistributedSession(
-            local_workers=1, checkpoint=journal
-        ) as session:
+        with DistributedSession(local_workers=1) as session:
             resumed = sim.run(600, seed=SEED, chunk_size=50,
-                              executor=session)
+                              executor=session, checkpoint_dir=tmp_path,
+                              resume=True)
         assert resumed == serial
+        journal = CheckpointJournal.open(tmp_path, key, resume=True)
         assert len(journal) == 12  # healed: every chunk journalled again
 
 
@@ -258,12 +254,11 @@ class TestDegradedFleet:
         serial = sim.run(800, seed=SEED, chunk_size=100)
         key = derive_key(SEED)
         with DistributedSession(
-            local_workers=2,
-            checkpoint=CheckpointJournal.open(tmp_path, key),
-            chaos="crash=@2",
+            local_workers=2, chaos="crash=@2"
         ) as session:
             with pytest.raises(DistributedDegraded) as excinfo:
-                sim.run(800, seed=SEED, chunk_size=100, executor=session)
+                sim.run(800, seed=SEED, chunk_size=100, executor=session,
+                        checkpoint_dir=tmp_path)
         assert "--resume" in str(excinfo.value)
         report_path = excinfo.value.report_path
         assert report_path == tmp_path / PARTIAL_RESULTS_NAME
@@ -275,11 +270,10 @@ class TestDegradedFleet:
 
         journal = CheckpointJournal.open(tmp_path, key, resume=True)
         assert len(journal) >= 1  # the crashed fleet's folds survived
-        with DistributedSession(
-            local_workers=2, checkpoint=journal
-        ) as session:
+        with DistributedSession(local_workers=2) as session:
             resumed = sim.run(800, seed=SEED, chunk_size=100,
-                              executor=session)
+                              executor=session, checkpoint_dir=tmp_path,
+                              resume=True)
         assert resumed == serial
 
     def test_degraded_without_checkpoint_says_so(self):
@@ -296,20 +290,13 @@ class TestPoisonChunk:
     failure history — and still leaves a resumable partial state."""
 
     def test_poison_chunk_accumulates_errors_and_degrades(self, tmp_path):
-        key = derive_key(SEED)
-        task = ChunkTask(
-            group=0,
-            spec=MuseSimSpec(code=CodeRef("repro.core.codes:muse_80_69")),
-            chunk=Chunk(0, 50),
-            key=key,
-        )
-        journal = CheckpointJournal.open(tmp_path, key)
         caught = {}
-        with DistributedSession(checkpoint=journal) as session:
+        with DistributedSession() as session:
 
             def drive():
-                try:
-                    session.run_tasks([task])
+                try:  # one 50-trial chunk, failed by hand below
+                    simulator().run(50, seed=SEED, executor=session,
+                                    checkpoint_dir=tmp_path)
                 except DistributedDegraded as exc:
                     caught["exc"] = exc
 

@@ -113,6 +113,46 @@ class TestDispatch:
         assert "distribute" not in seen["table1"]  # not a MC experiment
         assert sweep.EXPERIMENT_TARGETS  # registry untouched
 
+    def test_all_in_process_checkpoint_subdirs(self, monkeypatch):
+        seen = {}
+
+        def fake_run_all(tasks, **kwargs):
+            for task in tasks:
+                seen[task.name] = dict(task.kwargs)
+            return {}
+
+        monkeypatch.setattr("repro.cli.run_all", fake_run_all)
+        args = build_parser().parse_args(
+            ["all", "--checkpoint-dir", "ckpt", "--resume"]
+        )
+        assert run(args) == 0
+        assert seen["table4"]["checkpoint_dir"] == "ckpt/table4"
+        assert seen["ablation-frontier"]["resume"] is True
+        assert "distribute" not in seen["table4"]
+        assert "checkpoint_dir" not in seen["table1"]
+
+
+class TestInProcessCheckpoint:
+    """``--checkpoint-dir`` without ``--distribute``: the in-process run
+    journals every chunk, and ``--resume`` replays them all."""
+
+    def test_checkpoint_then_resume_matches_serial(self, tmp_path, capsys):
+        from repro.distribute import JOURNAL_NAME
+
+        plain = ["table4", "--trials", "60", "--chunk-size", "30"]
+        assert run(build_parser().parse_args(plain)) == 0
+        serial = capsys.readouterr().out
+        base = plain + ["--checkpoint-dir", str(tmp_path)]
+        assert run(build_parser().parse_args(base)) == 0
+        assert capsys.readouterr().out == serial
+        journal = (tmp_path / JOURNAL_NAME).read_bytes()
+        # a header plus 10 design points x 2 chunks
+        assert len(journal.splitlines()) == 1 + 10 * 2
+        assert run(build_parser().parse_args(base + ["--resume"])) == 0
+        assert capsys.readouterr().out == serial
+        # the resume computed nothing, so it journalled nothing
+        assert (tmp_path / JOURNAL_NAME).read_bytes() == journal
+
 
 class TestGuards:
     def test_distribute_rejected_for_non_msed_experiment(self, capsys):
@@ -140,12 +180,14 @@ class TestGuards:
         assert run(args) == 2
         assert "--progress" in capsys.readouterr().err
 
-    def test_checkpoint_dir_requires_distribute(self, capsys):
+    def test_checkpoint_dir_rejected_for_non_campaign_experiment(
+        self, capsys
+    ):
         args = build_parser().parse_args(
-            ["table4", "--checkpoint-dir", "ckpt"]
+            ["table3", "--checkpoint-dir", "ckpt"]
         )
         assert run(args) == 2
-        assert "--distribute" in capsys.readouterr().err
+        assert "--checkpoint-dir" in capsys.readouterr().err
 
     def test_resume_requires_checkpoint_dir(self, capsys):
         args = build_parser().parse_args(

@@ -182,38 +182,32 @@ class TestCheckpointResume:
         key = derive_key(SEED)
         with pytest.raises(DistributedInterrupted):
             with DistributedSession(
-                local_workers=workers,
-                checkpoint=CheckpointJournal.open(tmp_path, key),
-                interrupt_after=3,
+                local_workers=workers, interrupt_after=3
             ) as session:
                 simulator.run(
-                    600, seed=SEED, chunk_size=chunk_size, executor=session
+                    600, seed=SEED, chunk_size=chunk_size, executor=session,
+                    checkpoint_dir=tmp_path,
                 )
         journal = CheckpointJournal.open(tmp_path, key, resume=True)
         assert len(journal) >= 3  # the interrupt saved completed chunks
-        with DistributedSession(
-            local_workers=workers, checkpoint=journal
-        ) as session:
+        with DistributedSession(local_workers=workers) as session:
             resumed = simulator.run(
-                600, seed=SEED, chunk_size=chunk_size, executor=session
+                600, seed=SEED, chunk_size=chunk_size, executor=session,
+                checkpoint_dir=tmp_path, resume=True,
             )
         assert resumed == serial
 
     def test_resume_of_finished_run_recomputes_nothing(self, tmp_path):
         simulator = muse_simulator()
-        key = derive_key(SEED)
-        with DistributedSession(
-            local_workers=1, checkpoint=CheckpointJournal.open(tmp_path, key)
-        ) as session:
+        with DistributedSession(local_workers=1) as session:
             first = simulator.run(
-                400, seed=SEED, chunk_size=100, executor=session
+                400, seed=SEED, chunk_size=100, executor=session,
+                checkpoint_dir=tmp_path,
             )
-        journal = CheckpointJournal.open(tmp_path, key, resume=True)
-        with DistributedSession(
-            local_workers=1, checkpoint=journal
-        ) as session:
+        with DistributedSession(local_workers=1) as session:
             replayed = simulator.run(
-                400, seed=SEED, chunk_size=100, executor=session
+                400, seed=SEED, chunk_size=100, executor=session,
+                checkpoint_dir=tmp_path, resume=True,
             )
             assert session._folds == 0  # everything answered from disk
         assert replayed == first
@@ -232,22 +226,18 @@ class TestCheckpointResume:
         )
         simulator = muse_simulator()
         baseline = campaign(simulator, policy, seed=7, chunk_size=50)
-        key = derive_key(7)
         with pytest.raises(DistributedInterrupted):
             with DistributedSession(
-                local_workers=1,
-                checkpoint=CheckpointJournal.open(tmp_path, key),
-                interrupt_after=2,
+                local_workers=1, interrupt_after=2
             ) as session:
                 campaign(
-                    simulator, policy, seed=7, chunk_size=50, executor=session
+                    simulator, policy, seed=7, chunk_size=50,
+                    executor=session, checkpoint_dir=tmp_path,
                 )
-        journal = CheckpointJournal.open(tmp_path, key, resume=True)
-        with DistributedSession(
-            local_workers=1, checkpoint=journal
-        ) as session:
+        with DistributedSession(local_workers=1) as session:
             resumed = campaign(
-                simulator, policy, seed=7, chunk_size=50, executor=session
+                simulator, policy, seed=7, chunk_size=50, executor=session,
+                checkpoint_dir=tmp_path, resume=True,
             )
         assert resumed.result == baseline.result
         assert resumed.trials_used == baseline.trials_used

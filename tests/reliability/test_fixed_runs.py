@@ -58,15 +58,11 @@ class RecordingExecutor:
     def __init__(self):
         self.batches = []
 
-    def run_tasks(self, tasks, progress=None):
+    def run_tasks(self, tasks, on_result):
         self.batches.append(list(tasks))
-        folded = {}
-        for done, task in enumerate(tasks, start=1):
-            group, tally = run_chunk_task(task)
-            folded.setdefault(group, MsedTally()).merge(tally)
-            if progress is not None:
-                progress(done, len(tasks))
-        return folded
+        for task in tasks:
+            _, tally = run_chunk_task(task)
+            on_result(task, tally)
 
 
 class TestOneRoundCampaign:

@@ -386,6 +386,30 @@ class TestResultCache:
         ]
         del probe
 
+    def test_torn_cell_heals_after_one_rerun(self, tmp_path):
+        """The run after a tear recomputes the lost chunk once; the
+        damaged file is quarantined instead of appended onto, so the
+        run after that folds every chunk from disk."""
+        from repro.distribute import ResultCache
+
+        run_design_points_adaptive(
+            [_muse()], EASY, seed=7, cache_dir=str(tmp_path)
+        )
+        (cell,) = tmp_path.glob("*.jsonl")
+        cell.write_bytes(cell.read_bytes()[:-7])  # tear the last record
+        healing = ResultCache(tmp_path)
+        CampaignRunner(CampaignPolicy(base=EASY), cache=healing).run(
+            [_muse()], seed=7
+        )
+        assert healing.trials_recorded > 0  # the lost chunk recomputed
+        assert cell.with_name(cell.name + ".corrupt").exists()
+        healed = ResultCache(tmp_path)
+        CampaignRunner(CampaignPolicy(base=EASY), cache=healed).run(
+            [_muse()], seed=7
+        )
+        assert healed.trials_recorded == 0
+        assert healed.misses == 0
+
     def test_foreign_cell_file_is_left_alone(self, tmp_path):
         from repro.distribute import ResultCache
 
