@@ -12,6 +12,8 @@ import os
 import time
 from pathlib import Path
 
+import pytest
+
 from artifacts import merge_artifact
 from repro.core.codes import muse_80_69
 from repro.engine import resolve_backend
@@ -53,6 +55,7 @@ def _paired_ratios(repeats, off, on):
     return pairs
 
 
+@pytest.mark.timing
 def test_telemetry_overhead_under_five_percent(tmp_path):
     simulator = MuseMsedSimulator(muse_80_69(), backend="numpy")
     run_design_points([simulator], 500, SEED)  # warm engines + caches

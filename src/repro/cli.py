@@ -735,15 +735,17 @@ def _run_worker(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    from repro.distribute import CheckpointRefused
     from repro.engine import BackendUnavailableError
 
     try:
         return run(args)
-    except BackendUnavailableError as exc:
+    except (BackendUnavailableError, CheckpointRefused) as exc:
         # Unavailable backends stay listed in --backend choices (the
         # ladder is host-independent); an explicit request for one
         # fails here with the availability story instead of a
-        # traceback.
+        # traceback.  A checkpoint journal that would be clobbered, or
+        # that belongs to another run, is refused the same way.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -53,6 +53,7 @@ from repro.distribute.chaos import (
 from repro.distribute.checkpoint import (
     JOURNAL_NAME,
     CheckpointJournal,
+    CheckpointRefused,
     SalvageReport,
 )
 
@@ -79,6 +80,7 @@ __all__ = [
     "CHAOS_ENV",
     "ChaosSpec",
     "CheckpointJournal",
+    "CheckpointRefused",
     "ChunkProgress",
     "ChunkQueue",
     "DistributedDegraded",

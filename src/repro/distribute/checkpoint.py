@@ -67,6 +67,15 @@ def _group_key(group: Any) -> str:
     return json.dumps(group, sort_keys=True)
 
 
+class CheckpointRefused(FileExistsError, ValueError):
+    """The journal cannot serve this run: a fresh run would clobber it,
+    or it was written for another stream key, version or simulator
+    configuration.  An operator error, not a crash — the CLI reports it
+    as one ``error:`` line.  It stays both a :class:`FileExistsError`
+    and a :class:`ValueError`, the types these refusals raised before
+    they shared one."""
+
+
 # The CRC'd-line codec lives in :mod:`repro.orchestrate.persist` (it is
 # shared with the result cache and the telemetry event log).
 _decode_line = decode_crc_line
@@ -121,7 +130,7 @@ class CheckpointJournal:
         journal = cls(directory / JOURNAL_NAME, key, chaos=chaos)
         if journal.path.exists():
             if not resume:
-                raise FileExistsError(
+                raise CheckpointRefused(
                     f"{journal.path} already holds a checkpoint journal; "
                     f"pass resume=True (--resume) to continue it, or remove "
                     f"the directory to start over"
@@ -136,12 +145,12 @@ class CheckpointJournal:
             self._refuse_legacy_or_quarantine(lines)
             return
         if header.get("version") != JOURNAL_VERSION:
-            raise ValueError(
+            raise CheckpointRefused(
                 f"checkpoint journal {self.path} has version "
                 f"{header.get('version')!r}, expected {JOURNAL_VERSION}"
             )
         if header.get("key") != self.key:
-            raise ValueError(
+            raise CheckpointRefused(
                 f"checkpoint journal {self.path} belongs to stream key "
                 f"{header.get('key')} but this run uses key {self.key} "
                 f"(different --seed?); refusing to mix streams"
@@ -180,7 +189,7 @@ class CheckpointJournal:
         except (ValueError, UnicodeDecodeError):
             legacy = None
         if isinstance(legacy, dict) and "version" in legacy:
-            raise ValueError(
+            raise CheckpointRefused(
                 f"checkpoint journal {self.path} has version "
                 f"{legacy.get('version')!r}, expected {JOURNAL_VERSION}"
             )
@@ -209,7 +218,7 @@ class CheckpointJournal:
     def _check_fingerprint(self, group_key: str, fingerprint: str) -> None:
         known = self._fingerprints.get(group_key)
         if known is not None and known != fingerprint:
-            raise ValueError(
+            raise CheckpointRefused(
                 f"checkpoint journal {self.path} recorded group {group_key} "
                 f"for a different simulator configuration\n"
                 f"  journal: {known}\n"

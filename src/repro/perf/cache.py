@@ -174,12 +174,43 @@ class CacheHierarchy:
         L3 with the workload's footprint (lines dirty at the workload's
         write ratio) reproduces the steady state the paper's long gem5
         runs operate in.
+
+        The warmed state is that of a sweep which fills the lines of
+        ``[base, base + min(footprint_bytes, 2 * capacity))`` in order,
+        each dirty when its ``random.Random(seed).random()`` draw is
+        below ``dirty_fraction`` — but it is computed directly, not by
+        one :meth:`Cache.fill` per line.  The sweep's lines are
+        consecutive, distinct and never re-read, so any ``sets * ways``
+        of them cover every set exactly ``ways`` times: the survivors
+        are the sweep's last ``sets * ways`` lines, and within a set
+        their tags are consecutive in LRU order.  The result is
+        identical to the sweep in contents, LRU order and dirty bits
+        (``tests/perf/test_warm_l3.py::test_warm_l3_matches_fill_sweep``
+        holds the two equal).  Lines already in the L3 would take part
+        in the sweep's evictions, which this does not model, so the L3
+        must be empty.
         """
         import random
 
+        l3 = self.l3
+        if any(l3._sets.values()):
+            raise ValueError("warm_l3 warms an empty L3")
         rng = random.Random(seed)
-        line = self.l3.line_bytes
-        capacity = self.l3.sets * self.l3.ways * line
-        span = min(footprint_bytes, 2 * capacity)
-        for offset in range(0, span, line):
-            self.l3.fill(base + offset, dirty=rng.random() < dirty_fraction)
+        capacity_lines = l3.sets * l3.ways
+        span = min(footprint_bytes, 2 * capacity_lines * l3.line_bytes)
+        lines = len(range(0, span, l3.line_bytes))
+        kept = min(lines, capacity_lines)
+        for _ in range(lines - kept):  # the evicted prefix's draws
+            rng.random()
+        dirty = [rng.random() < dirty_fraction for _ in range(kept)]
+        # (base + i * line) // line == base // line + i, aligned or not.
+        first = base // l3.line_bytes
+        start = first + lines - kept
+        sets: dict[int, OrderedDict[int, bool]] = {}
+        for i in range(min(lines, l3.sets)):  # in the sweep's set order
+            index = (first + i) % l3.sets
+            column = (index - start) % l3.sets
+            tag = (start + column) // l3.sets
+            flags = dirty[column::l3.sets]
+            sets[index] = OrderedDict(zip(range(tag, tag + len(flags)), flags))
+        l3._sets = sets

@@ -7,7 +7,7 @@ go to stderr so stdout reports stay byte-identical either way.
 
 import pytest
 
-from repro.cli import MONTE_CARLO_EXPERIMENTS, build_parser, run
+from repro.cli import MONTE_CARLO_EXPERIMENTS, build_parser, main, run
 from repro.distribute import parse_distribute
 
 
@@ -152,6 +152,34 @@ class TestInProcessCheckpoint:
         assert capsys.readouterr().out == serial
         # the resume computed nothing, so it journalled nothing
         assert (tmp_path / JOURNAL_NAME).read_bytes() == journal
+
+    def test_fresh_run_over_a_journal_is_a_one_line_error(
+        self, tmp_path, capsys
+    ):
+        base = ["table4", "--trials", "60", "--chunk-size", "30",
+                "--checkpoint-dir", str(tmp_path)]
+        assert main(base) == 0
+        capsys.readouterr()
+        assert main(base) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "--resume" in captured.err
+        assert len(captured.err.splitlines()) == 1
+
+    def test_resume_with_another_seed_is_a_one_line_error(
+        self, tmp_path, capsys
+    ):
+        base = ["table4", "--trials", "60", "--chunk-size", "30",
+                "--checkpoint-dir", str(tmp_path)]
+        assert main(base) == 0
+        capsys.readouterr()
+        assert main(base + ["--seed", "3", "--resume"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "stream key" in captured.err
+        assert len(captured.err.splitlines()) == 1
 
 
 class TestGuards:

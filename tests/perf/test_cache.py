@@ -111,3 +111,12 @@ class TestHierarchy:
         # Touching new lines must produce dirty writebacks immediately.
         event = hierarchy.access(1 << 31, write=False)
         assert event.served_level == 4
+        assert event.writebacks
+
+    def test_warm_l3_clean_footprint_writes_nothing_back(self):
+        hierarchy = CacheHierarchy()
+        hierarchy.warm_l3(0, 8 * 1024 * 1024, dirty_fraction=0.0, seed=1)
+        # The same access evicts a clean line: nothing reaches DRAM.
+        event = hierarchy.access(1 << 31, write=False)
+        assert event.served_level == 4
+        assert event.writebacks == ()
